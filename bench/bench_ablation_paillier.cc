@@ -7,7 +7,6 @@
 #include <map>
 
 #include "crypto/paillier.h"
-#include "crypto/randomizer_pool.h"
 
 namespace {
 
@@ -92,27 +91,6 @@ void BM_MulPlain(benchmark::State& state) {
 }
 BENCHMARK(BM_MulPlain)->Arg(512)->Arg(1024)->Arg(2048)
     ->Unit(benchmark::kMicrosecond);
-
-void BM_EncryptPooled(benchmark::State& state) {
-  // Encryption with precomputed randomizers (crypto/randomizer_pool.h):
-  // the blinding exponentiation moves offline, leaving one mulmod.
-  // Fixed iteration count: the untimed refills are expensive at large
-  // key sizes, so letting the framework auto-scale would stall the run.
-  auto& kp = keyFor(static_cast<std::size_t>(state.range(0)));
-  Rng rng(7);
-  RandomizerPool pool(kp.pub, rng);
-  const Bigint m(123456);
-  for (auto _ : state) {
-    if (pool.available() == 0) {
-      state.PauseTiming();
-      pool.refill(512);
-      state.ResumeTiming();
-    }
-    benchmark::DoNotOptimize(pool.encrypt(m));
-  }
-}
-BENCHMARK(BM_EncryptPooled)->Arg(512)->Arg(1024)->Arg(2048)
-    ->Iterations(1024)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

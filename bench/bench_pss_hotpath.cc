@@ -1,11 +1,10 @@
 // Hot-path microbench for the Paillier/PSS pipeline: fast vs reference
 // encryption (g = n+1 shortcut vs generic double exponentiation), CRT and
-// batched decryption, shared-table mulPlainMany, the thread-parallel
-// per-segment fold, and whole-session document throughput (packed and
+// batched decryption, and whole-session document throughput (packed and
 // unpacked).
 //
 // Prints a JSON document; BENCH_pss.json at the repo root is seeded from
-// this output. scripts/check_bench_pss.py re-runs `--quick` and compares
+// this output. scripts/check_bench.py pss re-runs `--quick` and compares
 // the *speedup ratios* (fast/reference within one run), which are stable
 // across machines, rather than absolute times, which are not.
 //
@@ -17,11 +16,8 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "crypto/paillier.h"
-#include "crypto/randomizer_pool.h"
 #include "pss/dictionary.h"
-#include "pss/searcher.h"
 #include "pss/session.h"
 
 namespace {
@@ -56,7 +52,7 @@ int main(int argc, char** argv) {
   std::printf("{\n  \"bench\": \"pss_hotpath\",\n");
   std::printf("  \"key_bits\": %zu,\n", kKeyBits);
 
-  // --- encryption: generic reference vs g = n+1 fast path vs pooled ----
+  // --- encryption: generic reference vs g = n+1 fast path --------------
   {
     const int iters = quick ? 30 : 200;
     Rng rng(7);
@@ -64,24 +60,15 @@ int main(int argc, char** argv) {
     for (int i = 0; i < iters; ++i) {
       ms.push_back(Bigint::randomBelow(rng, pub.n()));
     }
-    Rng rGeneric(11), rFast(11), rPool(13);
+    Rng rGeneric(11), rFast(11);
     const double genericUs = usPerIter(
         iters, [&](int i) { (void)pub.encryptGeneric(ms[i], rGeneric); });
     const double fastUs =
         usPerIter(iters, [&](int i) { (void)pub.encrypt(ms[i], rFast); });
-    // Pooled encryption is ~1 µs, far below timer noise at the other
-    // stages' iteration counts; always average over a larger batch.
-    const int pooledIters = iters * 8;
-    RandomizerPool pool(pub, rPool);
-    pool.refill(static_cast<std::size_t>(pooledIters));
-    const double pooledUs = usPerIter(
-        pooledIters, [&](int i) { (void)pool.encrypt(ms[i % iters]); });
     std::printf(
         "  \"encrypt\": {\"iters\": %d, \"generic_us\": %.1f, "
-        "\"fast_us\": %.1f, \"pooled_us\": %.1f, "
-        "\"fast_speedup\": %.2f, \"pooled_speedup\": %.2f},\n",
-        iters, genericUs, fastUs, pooledUs, genericUs / fastUs,
-        genericUs / pooledUs);
+        "\"fast_us\": %.1f, \"fast_speedup\": %.2f},\n",
+        iters, genericUs, fastUs, genericUs / fastUs);
   }
 
   // --- decryption: standard vs CRT vs batched CRT ----------------------
@@ -107,73 +94,6 @@ int main(int argc, char** argv) {
         "\"crt_us\": %.1f, \"batch_us_per_ct\": %.1f, "
         "\"crt_speedup\": %.2f},\n",
         iters, stdUs, crtUs, batchUs, stdUs / crtUs);
-  }
-
-  // --- mulPlainMany: shared fixed-base table vs per-call mulPlain ------
-  // Batch 8 sits below the fixed-base crossover (mulPlainMany takes the
-  // direct path, speedup ~1.0); batch 64 is far enough past it to show
-  // the shared table paying off.
-  {
-    std::printf("  \"mul_plain\": {");
-    const char* sep = "";
-    for (const std::size_t batch : {std::size_t{8}, std::size_t{64}}) {
-      const int iters = quick ? 4 : 20;
-      Rng rng(23);
-      const Ciphertext c = pub.encrypt(Bigint(42), rng);
-      std::vector<Bigint> ks;
-      for (std::size_t i = 0; i < batch; ++i) {
-        ks.push_back(Bigint::randomBelow(rng, pub.n()));
-      }
-      const double singleUs = usPerIter(iters, [&](int) {
-        for (const auto& k : ks) (void)pub.mulPlain(c, k);
-      });
-      const double manyUs =
-          usPerIter(iters, [&](int) { (void)pub.mulPlainMany(c, ks); });
-      std::printf("%s\"loop_us_batch%zu\": %.1f, \"many_us_batch%zu\": %.1f, "
-                  "\"many_speedup_batch%zu\": %.2f",
-                  sep, batch, singleUs, batch, manyUs, batch,
-                  singleUs / manyUs);
-      sep = ", ";
-    }
-    std::printf("},\n");
-  }
-
-  // --- per-segment fold: serial vs sharded through a thread pool ------
-  // folds/s per configuration; on a single-core host the sharded rates
-  // degenerate to roughly serial minus task overhead — the JSON records
-  // whatever this machine can show, the gate only checks structure here.
-  {
-    const int segments = quick ? 8 : 32;
-    const pss::Dictionary dict(
-        {"alpha", "breach", "cipher", "delta", "echo", "fox"});
-    const pss::SearchParams params{
-        .bufferLength = 32, .indexBufferLength = 256, .bloomHashes = 3};
-    pss::PrivateSearchClient client(dict, params, kKeyBits, 31337);
-    const pss::EncryptedQuery query = client.makeQuery({"breach"});
-    std::vector<std::string> stream;
-    for (int i = 0; i < segments; ++i) {
-      stream.push_back((i % 4 == 1 ? "breach in segment " : "segment ") +
-                       std::to_string(i));
-    }
-    std::printf("  \"fold\": {\"segments\": %d, \"buffer_length\": %zu",
-                segments, params.bufferLength);
-    for (const std::size_t shards : {std::size_t{0}, std::size_t{2},
-                                     std::size_t{4}}) {
-      ThreadPool pool(shards == 0 ? 1 : shards);
-      Rng brokerRng(4242);
-      pss::StreamSearcher searcher(dict, query, /*blocks=*/2, brokerRng);
-      if (shards != 0) searcher.setFoldOptions({&pool, shards});
-      const auto t0 = SteadyClock::now();
-      for (int i = 0; i < segments; ++i) {
-        searcher.processSegment(static_cast<std::uint64_t>(i), stream[i]);
-      }
-      const double secs =
-          std::chrono::duration<double>(SteadyClock::now() - t0).count();
-      (void)searcher.finish();
-      std::printf(", \"segments_per_s_shards_%zu\": %.1f",
-                  shards == 0 ? std::size_t{1} : shards, segments / secs);
-    }
-    std::printf("},\n");
   }
 
   // --- whole session: documents/s, unpacked vs packed ------------------

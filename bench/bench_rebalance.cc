@@ -6,7 +6,7 @@
 // not segment IO.
 //
 // Prints a JSON document; BENCH_rebalance.json at the repo root is
-// seeded from this output. scripts/check_bench_rebalance.py re-runs
+// seeded from this output. scripts/check_bench.py rebalance re-runs
 // `--quick` and gates the *structural invariants* (move budgets
 // respected, no thrashing, spread converges to the threshold) and
 // machine-independent ratios — never absolute times.

@@ -9,7 +9,7 @@
 // fan-out level.
 //
 // Prints a JSON document; BENCH_subs.json at the repo root is seeded
-// from the full run. scripts/check_bench_subs.py re-runs `--quick` and
+// from the full run. scripts/check_bench.py subs re-runs `--quick` and
 // gates the *structural invariants* (snapshot counts are a deterministic
 // function of the policy, every expected match is recovered, fold count
 // is exactly subs x docs) and machine-independent ratios — never

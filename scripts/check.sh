@@ -47,62 +47,19 @@ echo "== multi-process: loopback cluster + elastic join->drain + leader-kill fai
 
 echo
 echo "== admin smoke: boot a node, scrape /healthz and /metrics =="
-python3 - build/src/net/dpss_node <<'PY'
-import socket, subprocess, sys, time, urllib.request
-
-node_bin = sys.argv[1]
-
-def free_port():
-    s = socket.socket()
-    s.bind(("127.0.0.1", 0))
-    port = s.getsockname()[1]
-    s.close()
-    return port
-
-rpc_port, admin_port = free_port(), free_port()
-proc = subprocess.Popen([
-    node_bin, "--role", "coordinator", "--name", "smoke",
-    "--listen", f"127.0.0.1:{rpc_port}", "--admin-port", str(admin_port),
-])
-try:
-    deadline = time.time() + 20
-    while True:
-        try:
-            with urllib.request.urlopen(
-                    f"http://127.0.0.1:{admin_port}/healthz", timeout=2) as r:
-                body = r.read().decode()
-                if r.status != 200 or '"status":"ok"' not in body:
-                    sys.exit(f"/healthz bad: {r.status} {body!r}")
-                break
-        except OSError:
-            if time.time() > deadline:
-                sys.exit("admin /healthz never answered")
-            time.sleep(0.2)
-    with urllib.request.urlopen(
-            f"http://127.0.0.1:{admin_port}/metrics", timeout=2) as r:
-        text = r.read().decode()
-    if not text.strip():
-        sys.exit("/metrics came back empty")
-    for needle in ("# TYPE", "dpss_rpc_attempts", "dpss_net_server_accepts"):
-        if needle not in text:
-            sys.exit(f"/metrics is missing {needle!r}")
-    print(f"admin smoke OK: /healthz + /metrics on 127.0.0.1:{admin_port}")
-finally:
-    proc.terminate()
-    proc.wait(timeout=10)
-PY
+python3 scripts/admin_smoke.py build/src/net/dpss_node
 
 echo
 echo "== bench smoke: pss hot-path speedup ratios vs BENCH_pss.json =="
-python3 scripts/check_bench_pss.py
+python3 scripts/check_bench.py pss
 
 echo
 echo "== bench smoke: rebalancer invariants vs BENCH_rebalance.json =="
-python3 scripts/check_bench_rebalance.py
+python3 scripts/check_bench.py rebalance
 
 echo
 echo "== bench smoke: subscription matcher invariants vs BENCH_subs.json =="
-python3 scripts/check_bench_subs.py
+python3 scripts/check_bench.py subs
 
 echo
 echo "== clang-tidy: curated .clang-tidy profile over src/ TUs =="
@@ -121,17 +78,14 @@ cmake --build build-asan -j "$JOBS" >/dev/null
 (cd build-asan && ctest --output-on-failure -j "$JOBS")
 
 echo
-echo "== tsan: obs_test + thread_pool + pss fold + net/cluster subsets under -fsanitize=thread =="
+echo "== tsan: obs_test + thread_pool + net/cluster subsets under -fsanitize=thread =="
 cmake -B build-tsan -S . -DDPSS_SANITIZE=thread >/dev/null
-cmake --build build-tsan --target obs_test common_test cluster_test net_test pss_test -j "$JOBS" >/dev/null
+cmake --build build-tsan --target obs_test common_test cluster_test net_test -j "$JOBS" >/dev/null
 # obs_test covers the span ring, trace collector and slow-query log; the
 # http admin tests exercise the admin loop thread against client threads.
 ./build-tsan/tests/obs_test
 ./build-tsan/tests/net_test --gtest_filter='HttpAdminTest.*'
 ./build-tsan/tests/common_test --gtest_filter='ThreadPool.*'
-# The thread-parallel per-segment fold and the randomizer pool's
-# refill/drain races are the crypto layer's only concurrency.
-./build-tsan/tests/pss_test --gtest_filter='FoldConcurrency.*:RandomizerPoolConcurrency.*'
 # ClusterChaos.Sweep* (50 whole-cluster stories) is deliberately excluded:
 # it is deterministic single-driver logic and far too slow under TSan.
 ./build-tsan/tests/cluster_test --gtest_filter='Concurrency.*:RpcPolicy.*:CallPolicyTest.*:ChaosPolicy.*:ChaosTransport.*:Chaos.IdenticalSeedReproducesIdenticalSchedule:ClusterChaos.SingleSeedReplaysCombinedFaultStory:ClusterChaos.SlowReadsDelayLoadsButQueriesStayCorrect:ClusterChaos.RealtimeCrashLosesUnpersistedStopFlushes'

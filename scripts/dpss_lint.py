@@ -31,11 +31,10 @@ rules keep the accidental escape hatches shut:
                   outside src/net/; every other layer speaks through the
                   net transport so framing, deadlines, and typed error
                   mapping live in one place.
-  raw-modexp   -- no powm/powmNaive/powmWindowed/mpz_powm or raw
-                  FixedBaseWindow use inside src/pss/; the search layer
-                  speaks crypto::Paillier* (encrypt, mulPlainMany,
-                  decryptCrtBatch), whose windowed/fixed-base kernels
-                  are pinned by the differential suite.
+  raw-modexp   -- no powm/powmNaive/mpz_powm use inside src/pss/; the
+                  search layer speaks crypto::Paillier* (encrypt,
+                  mulPlain, decryptCrtBatch), whose kernels are pinned
+                  by the differential suite and the KAT goldens.
   chaos-api    -- no ad-hoc fault injection (node .crash(), deprecated
                   failNextGets) in src/ outside the chaos scheduler;
                   faults must come from a seeded, replayable schedule
@@ -261,15 +260,13 @@ RULES = [
     Rule(
         name="raw-modexp",
         pattern=re.compile(
-            r"\bpowm(?:Naive|Windowed)?\s*\(|\bmpz_powm\b"
-            r"|\bFixedBaseWindow\b"
+            r"\bpowm(?:Naive)?\s*\(|\bmpz_powm\b"
         ),
         message=(
             "raw modular exponentiation in src/pss/; the search layer "
             "must go through the crypto::Paillier* kernels (encrypt, "
-            "mulPlain, mulPlainMany, decryptCrtBatch) so the windowed/"
-            "fixed-base fast paths and their differential coverage stay "
-            "the only modexp entry points"
+            "mulPlain, decryptCrtBatch) so they and their differential "
+            "and KAT coverage stay the only modexp entry points"
         ),
         only_dirs=frozenset({"src/pss/"}),
     ),
@@ -611,15 +608,14 @@ SELFTEST_CASES = [
     ("raw-modexp", "src/pss/a.cc", "auto x = Bigint::powm(c, k, n2);"),
     ("raw-modexp", "src/pss/a.cc", "auto x = Bigint::powmNaive(c, k, n2);"),
     ("raw-modexp", "src/pss/a.cc", "mpz_powm(r, b, e, m);"),
-    ("raw-modexp", "src/pss/a.cc", "FixedBaseWindow table(c, n2, 512, 4);"),
     (None, "src/crypto/paillier.cc", "auto x = Bigint::powm(c, k, n2);"),
-    (None, "src/pss/a.cc", "out = pub.mulPlainMany(ec, blocks);"),
+    (None, "src/pss/a.cc", "out = pub.mulPlain(ec, block);"),
     (None, "src/x/a.cc", "auto x = Bigint::powm(c, k, n2);"),
     (
         None,
         "src/pss/a.cc",
         "// dpss-lint: allow(raw-modexp) proving-ground comparison only\n"
-        "auto x = Bigint::powmWindowed(c, k, n2, 4);",
+        "auto x = Bigint::powmNaive(c, k, n2);",
     ),
     ("chaos-api", "src/x/a.cc", "cluster.historical(0).crash();"),
     ("chaos-api", "src/x/a.cc", "historicals_[i]->crash();"),

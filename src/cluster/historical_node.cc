@@ -493,6 +493,11 @@ std::string HistoricalNode::handleRpc(const std::string& request) {
     ByteReader r(body);
     const std::string docSource = r.str();
     const std::uint64_t dictSize = r.varint();
+    // Every word costs at least its 1-byte length prefix, so a count past
+    // the remaining body is forged; refuse it before reserving.
+    if (dictSize > r.remaining()) {
+      throw CorruptData("dictionary size exceeds the request body");
+    }
     std::vector<std::string> words;
     words.reserve(dictSize);
     for (std::uint64_t i = 0; i < dictSize; ++i) words.push_back(r.str());
@@ -517,50 +522,56 @@ std::string HistoricalNode::handleRpc(const std::string& request) {
       pool = pool_;  // pin across a concurrent crash()/stop()
     }
     if (pool == nullptr) throw Unavailable("node stopping: " + name_);
-    const pss::Dictionary dict(words);
-    Rng rng(seed);
-    pss::StreamSearcher searcher(dict, std::move(encQuery), blocks, rng);
-    // The per-segment slot fold shards across the node's bounded pool; the
-    // shards own disjoint contiguous slot ranges, so the envelope bytes
-    // match the serial fold exactly.
-    searcher.setFoldOptions({pool.get(), 0});
-    const std::size_t docs = slice.documents.size();
-    try {
+    // The slice fold runs as one task on the node's bounded pool, like a
+    // segment scan, so concurrent searches share the threads-per-node cap.
+    // The handler blocks on the result, so the task may borrow its locals.
+    const obs::TraceContext traceCtx = obs::currentTraceContext();
+    auto fut = pool->submit([&] {
+      obs::ScopedRegistry foldScope(obs_);
+      obs::TraceScope traceScope(traceCtx);
+      const pss::Dictionary dict(words);
+      Rng rng(seed);
+      pss::StreamSearcher searcher(dict, std::move(encQuery), blocks, rng);
+      const std::size_t docs = slice.documents.size();
       if (pack <= 1) {
         for (std::size_t i = 0; i < docs; ++i) {
           searcher.processSegment(slice.baseIndex + i, slice.documents[i]);
         }
-      } else {
-        // Packed fold: group g covers slice documents [g·P, (g+1)·P); its
-        // keyword set is the union over members so any member's match
-        // folds the group. Group indices restart at 0 per envelope —
-        // reconstruction is per-envelope, and firstDocIndex anchors the
-        // unpacked document indices back onto the global stream.
-        for (std::size_t i = 0, g = 0; i < docs; i += pack, ++g) {
-          const std::size_t count = std::min(pack, docs - i);
-          std::vector<std::string_view> members;
-          members.reserve(count);
-          std::set<std::string> words;
-          for (std::size_t o = 0; o < count; ++o) {
-            members.push_back(slice.documents[i + o]);
-            for (auto& w : pss::distinctWords(slice.documents[i + o])) {
-              words.insert(std::move(w));
-            }
-          }
-          searcher.processSegment(
-              g, std::vector<std::string>(words.begin(), words.end()),
-              searcher.codec().encode(pss::packPayloads(members), blocks));
-        }
+        return searcher.finish();
       }
-    } catch (const std::future_error&) {
-      // A fold shard was abandoned by a dying pool: a node loss upstream.
-      throw Unavailable("node stopped mid-search: " + name_);
-    }
-    auto envelope = searcher.finish();
-    if (pack > 1) {
+      // Packed fold: group g covers slice documents [g·P, (g+1)·P); its
+      // keyword set is the union over members so any member's match folds
+      // the group. Group indices restart at 0 per envelope —
+      // reconstruction is per-envelope, and firstDocIndex anchors the
+      // unpacked document indices back onto the global stream.
+      for (std::size_t i = 0, g = 0; i < docs; i += pack, ++g) {
+        const std::size_t count = std::min(pack, docs - i);
+        std::vector<std::string_view> members;
+        members.reserve(count);
+        std::set<std::string> groupWords;
+        for (std::size_t o = 0; o < count; ++o) {
+          members.push_back(slice.documents[i + o]);
+          for (auto& w : pss::distinctWords(slice.documents[i + o])) {
+            groupWords.insert(std::move(w));
+          }
+        }
+        searcher.processSegment(
+            g,
+            std::vector<std::string>(groupWords.begin(), groupWords.end()),
+            searcher.codec().encode(pss::packPayloads(members), blocks));
+      }
+      auto envelope = searcher.finish();
       envelope.packFactor = pack;
       envelope.firstDocIndex = slice.baseIndex;
       envelope.documentCount = docs;
+      return envelope;
+    });
+    pss::SearchResultEnvelope envelope;
+    try {
+      envelope = fut.get();
+    } catch (const std::future_error&) {
+      // The pool died under us anyway; to the caller this is a node loss.
+      throw Unavailable("node stopped mid-search: " + name_);
     }
     ByteWriter w;
     envelope.serialize(w);

@@ -35,7 +35,6 @@ void SubscriptionHost::restore() {
     if (spec.docSource == dataSource_) {
       entry.matcher = std::make_unique<pss::SubscriptionMatcher>(
           std::move(spec), seedFor(id), clock_.nowMs());
-      entry.matcher->setFoldOptions(options_.fold);
     }
     entries_.emplace(id, std::move(entry));
   }
@@ -56,7 +55,6 @@ void SubscriptionHost::attach(pss::SubscriptionId id,
   if (spec.docSource == dataSource_) {
     entry.matcher = std::make_unique<pss::SubscriptionMatcher>(
         spec, seedFor(id), clock_.nowMs());
-    entry.matcher->setFoldOptions(options_.fold);
   }
   entries_.emplace(id, std::move(entry));
 }

@@ -44,8 +44,6 @@ struct SubscriptionHostOptions {
   /// Unacked snapshots retained per subscription; beyond this the oldest
   /// is dropped (and counted) so an absent collector cannot OOM the node.
   std::size_t maxPendingPerSubscription = 1024;
-  /// Fold sharding for every matcher (PR 7 thread-parallel fold).
-  pss::FoldOptions fold;
 };
 
 /// One /statusz row per live subscription.

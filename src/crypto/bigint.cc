@@ -93,48 +93,6 @@ Bigint Bigint::powmNaive(const Bigint& base, const Bigint& exp,
   return result;
 }
 
-Bigint Bigint::powmWindowed(const Bigint& base, const Bigint& exp,
-                            const Bigint& m, unsigned windowBits) {
-  DPSS_CHECK_MSG(m.sign() > 0, "powm modulus must be positive");
-  DPSS_CHECK_MSG(exp.sign() >= 0, "powm exponent must be non-negative");
-  DPSS_CHECK_MSG(windowBits >= 1 && windowBits <= 8,
-                 "window width must be in [1, 8]");
-  const std::size_t bits = exp.bitLength();
-  Bigint one = Bigint(1) % m;
-  if (bits == 0) return one;
-
-  // Odd-power table: table[i] = base^(2i+1) mod m.
-  const Bigint b = base % m;
-  const Bigint b2 = (b * b) % m;
-  std::vector<Bigint> table(std::size_t(1) << (windowBits - 1));
-  table[0] = b;
-  for (std::size_t i = 1; i < table.size(); ++i) {
-    table[i] = (table[i - 1] * b2) % m;
-  }
-
-  Bigint result = std::move(one);
-  std::size_t i = bits;
-  while (i > 0) {
-    if (!exp.testBit(i - 1)) {
-      result = (result * result) % m;
-      --i;
-      continue;
-    }
-    // Take the widest window [i-1 .. l] that ends on a set bit, so the
-    // window value is odd and hits the table.
-    std::size_t l = (i >= windowBits) ? i - windowBits : 0;
-    while (!exp.testBit(l)) ++l;
-    std::size_t value = 0;
-    for (std::size_t k = i; k-- > l;) {
-      result = (result * result) % m;
-      value = (value << 1) | (exp.testBit(k) ? 1u : 0u);
-    }
-    result = (result * table[value >> 1]) % m;
-    i = l;
-  }
-  return result;
-}
-
 Bigint Bigint::invert(const Bigint& x, const Bigint& m) {
   Bigint r;
   if (mpz_invert(r.z_, x.z_, m.z_) == 0) {

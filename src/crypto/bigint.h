@@ -64,12 +64,6 @@ class Bigint {
   /// against (tests/crypto/differential_test.cc). Never a hot path.
   static Bigint powmNaive(const Bigint& base, const Bigint& exp,
                           const Bigint& m);
-  /// Sliding-window modexp with a precomputed odd-power table
-  /// (HAC 14.85). windowBits in [1, 8]. Same result as powm/powmNaive;
-  /// exists so the windowed scan logic shared with FixedBaseWindow has a
-  /// standalone, differential-testable form.
-  static Bigint powmWindowed(const Bigint& base, const Bigint& exp,
-                             const Bigint& m, unsigned windowBits = 4);
   /// x^-1 mod m; throws CryptoError when gcd(x, m) != 1.
   static Bigint invert(const Bigint& x, const Bigint& m);
   static Bigint gcd(const Bigint& a, const Bigint& b);

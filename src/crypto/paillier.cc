@@ -1,9 +1,6 @@
 #include "crypto/paillier.h"
 
-#include <algorithm>
-
 #include "common/error.h"
-#include "crypto/fixed_base.h"
 #include "obs/metrics.h"
 
 namespace dpss::crypto {
@@ -76,16 +73,6 @@ Ciphertext PaillierPublicKey::encryptGenericWithR(const Bigint& m,
   return Ciphertext{(gm * rn) % n2_};
 }
 
-Ciphertext PaillierPublicKey::encryptWithBlinding(const Bigint& m,
-                                                  const Bigint& rn) const {
-  obs::MetricsRegistry& reg = obs::currentRegistry();
-  reg.counter(kEncryptCount).inc();
-  obs::ScopedTimer timer(reg.histogram(kEncryptNs));
-  DPSS_CHECK_MSG(m.sign() >= 0 && m < n_, "plaintext out of [0, n)");
-  const Bigint gm = (Bigint(1) + m * n_) % n2_;
-  return Ciphertext{(gm * rn) % n2_};
-}
-
 Ciphertext PaillierPublicKey::addCipher(const Ciphertext& a,
                                         const Ciphertext& b) const {
   obs::currentRegistry().counter(kHomAddCount).inc();
@@ -97,38 +84,6 @@ Ciphertext PaillierPublicKey::mulPlain(const Ciphertext& c,
   obs::currentRegistry().counter(kHomMulCount).inc();
   DPSS_CHECK_MSG(k.sign() >= 0, "scalar must be non-negative");
   return Ciphertext{Bigint::powm(c.value, k, n2_)};
-}
-
-std::vector<Ciphertext> PaillierPublicKey::mulPlainMany(
-    const Ciphertext& c, const std::vector<Bigint>& ks) const {
-  obs::currentRegistry().counter(kHomMulCount).inc(ks.size());
-  std::size_t maxBits = 1;
-  for (const auto& k : ks) {
-    DPSS_CHECK_MSG(k.sign() >= 0, "scalar must be non-negative");
-    maxBits = std::max(maxBits, k.bitLength());
-  }
-  // Crossover: the table costs buildCost plain mul+mod, plus ~one per
-  // window digit per exponent. Direct powm does ~1.3·maxBits Montgomery
-  // steps, but each is roughly half the cost of our plain mul+mod, so
-  // the table must beat ~0.6·maxBits plain-mul equivalents per exponent
-  // (measured: the 512-bit crossover sits near a batch of 12).
-  constexpr unsigned kWindow = 4;
-  const std::size_t digits = (maxBits + kWindow - 1) / kWindow;
-  const std::size_t tableMuls =
-      FixedBaseWindow::buildCost(maxBits, kWindow) + ks.size() * digits;
-  const bool amortizes =
-      ks.size() >= 2 && tableMuls < ks.size() * maxBits * 3 / 5;
-  std::vector<Ciphertext> out;
-  out.reserve(ks.size());
-  if (amortizes) {
-    const FixedBaseWindow table(c.value, n2_, maxBits, kWindow);
-    for (const auto& k : ks) out.push_back(Ciphertext{table.pow(k)});
-  } else {
-    for (const auto& k : ks) {
-      out.push_back(Ciphertext{Bigint::powm(c.value, k, n2_)});
-    }
-  }
-  return out;
 }
 
 Ciphertext PaillierPublicKey::addPlain(const Ciphertext& c,

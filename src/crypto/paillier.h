@@ -78,13 +78,9 @@ class PaillierPublicKey {
   /// naive kernel). Same r ⇒ byte-identical ciphertext to encryptWithR.
   Ciphertext encryptGenericWithR(const Bigint& m, const Bigint& r) const;
 
-  /// E(m) from a precomputed blinding factor rn = r^n mod n² — the
-  /// randomizer-pool path: one multiplication, no exponentiation.
-  Ciphertext encryptWithBlinding(const Bigint& m, const Bigint& rn) const;
-
   /// Draws r uniform in Z*_n — the rejection loop shared by encrypt and
-  /// RandomizerPool so pooled and fresh encryptions consume randomness
-  /// identically (same Rng state ⇒ same r ⇒ same ciphertext).
+  /// encryptGeneric so both consume randomness identically (same Rng
+  /// state ⇒ same r ⇒ same ciphertext).
   Bigint drawRandomizer(Rng& rng) const;
 
   /// E(a)·E(b) mod n² = E(a+b).
@@ -92,12 +88,6 @@ class PaillierPublicKey {
 
   /// c^k mod n² = E(m·k). Requires k >= 0.
   Ciphertext mulPlain(const Ciphertext& c, const Bigint& k) const;
-
-  /// c^k for every k in `ks`, sharing one fixed-base window table over c
-  /// when the batch is large enough to amortize the build (the broker's
-  /// per-segment blockwise fold). Element-wise identical to mulPlain.
-  std::vector<Ciphertext> mulPlainMany(const Ciphertext& c,
-                                       const std::vector<Bigint>& ks) const;
 
   /// c·(1+mn) mod n² = E(m' + m) without fresh randomness (used only where
   /// the operand is already a ciphertext with randomness of its own).

@@ -24,16 +24,13 @@ SearchBuffers::SearchBuffers(const crypto::PaillierPublicKey& pub,
   }
 }
 
-std::uint64_t SearchBuffers::foldSlotRange(
+std::uint64_t SearchBuffers::foldSlots(
     const crypto::PaillierPublicKey& pub, const crypto::BitPrf& prf,
     std::uint64_t index, const crypto::Ciphertext& ec,
-    const std::vector<crypto::Ciphertext>& ecf, std::size_t lo,
-    std::size_t hi) {
-  DPSS_CHECK_MSG(hi <= cBuffer_.size() && lo <= hi,
-                 "fold range out of bounds");
+    const std::vector<crypto::Ciphertext>& ecf) {
   DPSS_CHECK_MSG(ecf.size() == blocks_, "need one E(c·f) per block");
   std::uint64_t folds = 0;
-  for (std::size_t j = lo; j < hi; ++j) {
+  for (std::size_t j = 0; j < cBuffer_.size(); ++j) {
     if (!prf(index, j)) continue;
     for (std::size_t b = 0; b < blocks_; ++b) {
       crypto::Ciphertext& slot = dataBuffer_[j * blocks_ + b];

@@ -45,16 +45,13 @@ class SearchBuffers {
     return matchBuffer_.at(slot);
   }
 
-  /// Folds one segment into every slot j in [lo, hi) with g(index, j) = 1:
-  /// each data block gets E(c)^{f_b} (precomputed in `ecf`), the c-slot
-  /// gets E(c). Returns the number of homomorphic accumulations performed.
-  /// Distinct ranges touch disjoint slots, so they may fold concurrently;
-  /// the result is byte-identical for any partition of [0, bufferLength).
-  std::uint64_t foldSlotRange(const crypto::PaillierPublicKey& pub,
-                              const crypto::BitPrf& prf, std::uint64_t index,
-                              const crypto::Ciphertext& ec,
-                              const std::vector<crypto::Ciphertext>& ecf,
-                              std::size_t lo, std::size_t hi);
+  /// Folds one segment into every slot j with g(index, j) = 1: each data
+  /// block gets E(c)^{f_b} (precomputed in `ecf`), the c-slot gets E(c).
+  /// Returns the number of homomorphic accumulations performed.
+  std::uint64_t foldSlots(const crypto::PaillierPublicKey& pub,
+                          const crypto::BitPrf& prf, std::uint64_t index,
+                          const crypto::Ciphertext& ec,
+                          const std::vector<crypto::Ciphertext>& ecf);
 
   void serialize(ByteWriter& w) const;
   static SearchBuffers deserialize(ByteReader& r);

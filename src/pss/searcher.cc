@@ -1,8 +1,5 @@
 #include "pss/searcher.h"
 
-#include <algorithm>
-#include <future>
-
 #include "common/error.h"
 #include "obs/metrics.h"
 
@@ -100,37 +97,12 @@ void StreamSearcher::processSegment(
   const crypto::Ciphertext ec = encryptedCValue(words);
 
   // Step 2.2 (blockwise) + 2.3: fold into slots with g(i, j) = 1.
-  // E(c_i·f_block) = E(c_i)^{f_block}, all blocks sharing one fixed-base
-  // window table over E(c_i).
+  // E(c_i·f_block) = E(c_i)^{f_block}, one modexp per block.
   const std::uint64_t foldStart = obs::nowNanos();
-  const std::vector<crypto::Ciphertext> ecf = pub.mulPlainMany(ec, blocks);
-  const std::size_t lF = buffers_.bufferLength();
-  std::size_t shards = 1;
-  if (fold_.pool != nullptr) {
-    shards = fold_.shards != 0 ? fold_.shards : fold_.pool->threadCount();
-    shards = std::min(shards, lF);
-  }
-  std::uint64_t folds = 0;
-  if (shards <= 1) {
-    folds = buffers_.foldSlotRange(pub, prf_, index, ec, ecf, 0, lF);
-  } else {
-    // Contiguous disjoint ranges: shard k owns [k·⌈l_F/shards⌉, …). Each
-    // worker re-scopes this node's registry so fold metrics land where the
-    // serial path records them.
-    const std::size_t per = (lF + shards - 1) / shards;
-    std::vector<std::future<std::uint64_t>> parts;
-    parts.reserve(shards);
-    for (std::size_t k = 0; k < shards; ++k) {
-      const std::size_t lo = std::min(k * per, lF);
-      const std::size_t hi = std::min(lo + per, lF);
-      parts.push_back(fold_.pool->submit([this, &reg, &pub, &ec, &ecf, index,
-                                          lo, hi] {
-        obs::ScopedRegistry scope(reg);
-        return buffers_.foldSlotRange(pub, prf_, index, ec, ecf, lo, hi);
-      }));
-    }
-    for (auto& part : parts) folds += part.get();
-  }
+  std::vector<crypto::Ciphertext> ecf;
+  ecf.reserve(blocks.size());
+  for (const auto& block : blocks) ecf.push_back(pub.mulPlain(ec, block));
+  std::uint64_t folds = buffers_.foldSlots(pub, prf_, index, ec, ecf);
 
   // Step 2.4: Bloom update of the matching-indices buffer.
   for (const auto slot : bloom_.slots(index)) {

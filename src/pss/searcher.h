@@ -18,7 +18,6 @@
 
 #include "common/bytes.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "crypto/paillier.h"
 #include "crypto/prf.h"
 #include "pss/blocking.h"
@@ -56,17 +55,6 @@ struct SearchResultEnvelope {
   static SearchResultEnvelope deserialize(ByteReader& r);
 };
 
-/// How a StreamSearcher folds each segment into the buffer slots.
-struct FoldOptions {
-  /// Pool to shard the per-segment slot fold across. nullptr (the default)
-  /// keeps the fold serial on the calling thread.
-  ThreadPool* pool = nullptr;
-  /// Number of contiguous slot ranges to split [0, l_F) into; 0 means one
-  /// per pool thread. Shards own disjoint slots, so the folded buffers are
-  /// byte-identical to the serial fold for every shard count.
-  std::size_t shards = 0;
-};
-
 class StreamSearcher {
  public:
   /// `blocksPerSegment` fixes s for the whole batch (every payload must
@@ -85,11 +73,6 @@ class StreamSearcher {
   void processSegment(std::uint64_t index,
                       const std::vector<std::string>& words,
                       const std::vector<crypto::Bigint>& blocks);
-
-  /// Opts the per-segment fold into thread-parallel sharding. Safe to call
-  /// between segments; the Bloom fold (k colliding slots) stays serial.
-  void setFoldOptions(const FoldOptions& opts) { fold_ = opts; }
-  const FoldOptions& foldOptions() const { return fold_; }
 
   /// Appends `count` empty segments to the batch without folding. An empty
   /// segment's contribution is the multiplicative identity everywhere
@@ -122,7 +105,6 @@ class StreamSearcher {
   SearchBuffers buffers_;
   crypto::BitPrf prf_;
   crypto::BloomHashFamily bloom_;
-  FoldOptions fold_;
   std::uint64_t firstIndex_ = 0;
   std::uint64_t processed_ = 0;
 };

@@ -123,11 +123,6 @@ class SubscriptionMatcher {
   /// seal() only when due().
   std::optional<SubscriptionSnapshot> sealIfDue(std::int64_t nowMs);
 
-  /// Opts the per-document fold into the PR 7 thread-parallel sharding.
-  void setFoldOptions(const FoldOptions& opts) {
-    searcher_.setFoldOptions(opts);
-  }
-
   const SubscriptionSpec& spec() const { return spec_; }
   const Dictionary& dictionary() const { return dict_; }
 

@@ -15,6 +15,9 @@ constexpr std::size_t kHashSize = 1u << kHashBits;
 constexpr std::size_t kMaxOffset = 1u << 13;  // 13-bit back offset
 constexpr std::size_t kMaxLiteralRun = 32;
 constexpr std::size_t kMaxRefLength = 255 + 9;
+// Densest encoding: a 3-byte long back-reference expands to kMaxRefLength
+// output bytes, so no stream decodes to more than this per input byte.
+constexpr std::size_t kMaxExpansion = kMaxRefLength / 3;
 
 std::uint32_t hash3(const unsigned char* p) {
   const std::uint32_t v =
@@ -87,6 +90,9 @@ std::string lzfCompress(std::string_view input) {
 std::string lzfDecompress(std::string_view compressed) {
   ByteReader r(compressed);
   const std::uint64_t rawSize = r.varint();
+  if (rawSize > r.remaining() * kMaxExpansion) {
+    throw CorruptData("lzf declared size exceeds what the input can encode");
+  }
   std::string out;
   out.reserve(rawSize);
 

@@ -7,6 +7,8 @@
 #include <set>
 
 #include "cluster/cluster.h"
+#include "cluster/transport.h"
+#include "common/bytes.h"
 #include "common/error.h"
 #include "pss/session.h"
 
@@ -145,6 +147,21 @@ TEST_F(PssClusterTest, UnknownDocSourceThrows) {
   const auto query = client_.makeQuery({"virus"});
   EXPECT_THROW(cluster.broker().privateSearch("nope", dict_, query),
                NotFound);
+}
+
+TEST_F(PssClusterTest, ForgedDictionarySizeIsCorruptData) {
+  // A slice-search body declaring 2^62 dictionary words must be refused
+  // as corrupt before the historical sizes anything by it.
+  Cluster cluster(clock_, {.historicalNodes = 1});
+  loadDocs(cluster, makeDocs(8));
+  ByteWriter w;
+  w.u8(rpc::kPssSearch);
+  w.str("security-log");
+  w.varint(std::uint64_t{1} << 62);
+  w.str("breach");
+  EXPECT_THROW(
+      cluster.transport().call(cluster.historical(0).name(), w.take()),
+      CorruptData);
 }
 
 TEST_F(PssClusterTest, EnvelopeCountMatchesSliceHolders) {

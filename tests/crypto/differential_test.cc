@@ -2,11 +2,9 @@
 // byte-identical results to its naive sibling across ≥100-seed property
 // sweeps. The pairs under test:
 //
-//   Bigint::powmWindowed / FixedBaseWindow::pow  vs  Bigint::powmNaive
+//   Bigint::powm (GMP)                           vs  Bigint::powmNaive
 //   PaillierPublicKey::encryptWithR (g = n+1)    vs  encryptGenericWithR
 //   PaillierPrivateKey::decryptCrt / CrtBatch    vs  decrypt
-//   PaillierPublicKey::mulPlainMany              vs  mulPlain
-//   RandomizerPool::encrypt (precomputed r^n)    vs  fresh encrypt
 //   packPayloads / unpackPayloads                vs  identity
 //   runPrivateSearchPacked                       vs  runPrivateSearch
 //
@@ -22,9 +20,7 @@
 
 #include "common/rng.h"
 #include "crypto/bigint.h"
-#include "crypto/fixed_base.h"
 #include "crypto/paillier.h"
-#include "crypto/randomizer_pool.h"
 #include "pss/blocking.h"
 #include "pss/session.h"
 
@@ -44,7 +40,7 @@ const PaillierKeyPair& sharedKey() {
   return kp;
 }
 
-TEST(ModexpDifferential, WindowedMatchesNaiveAndGmp) {
+TEST(ModexpDifferential, GmpMatchesNaive) {
   for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
     Rng rng(seed);
     // Mix modulus sizes and parities; m = 1 and even moduli are legal.
@@ -52,44 +48,22 @@ TEST(ModexpDifferential, WindowedMatchesNaiveAndGmp) {
     const Bigint m = Bigint::randomBits(rng, modBits);
     const Bigint base = Bigint::randomBelow(rng, m + Bigint(7));  // may be >= m
     const Bigint exp = Bigint::randomBits(rng, 1 + rng.below(200));
-    const unsigned window = 1 + seed % 6;
-    const Bigint want = Bigint::powmNaive(base, exp, m);
-    EXPECT_EQ(Bigint::powmWindowed(base, exp, m, window).toBytes(),
-              want.toBytes())
-        << "seed " << seed << " window " << window;
-    EXPECT_EQ(Bigint::powm(base, exp, m).toBytes(), want.toBytes())
+    EXPECT_EQ(Bigint::powm(base, exp, m).toBytes(),
+              Bigint::powmNaive(base, exp, m).toBytes())
         << "seed " << seed;
   }
 }
 
-TEST(ModexpDifferential, WindowedEdgeCases) {
+TEST(ModexpDifferential, EdgeCases) {
   const Bigint m("982451653");
-  EXPECT_EQ(Bigint::powmWindowed(Bigint(0), Bigint(0), m), Bigint(1));
-  EXPECT_EQ(Bigint::powmWindowed(Bigint(0), Bigint(5), m), Bigint(0));
-  EXPECT_EQ(Bigint::powmWindowed(Bigint(7), Bigint(0), m), Bigint(1));
-  EXPECT_EQ(Bigint::powmWindowed(Bigint(7), Bigint(1), m), Bigint(7));
-  // m == 1: everything is 0.
-  EXPECT_EQ(Bigint::powmWindowed(Bigint(7), Bigint(9), Bigint(1)), Bigint(0));
-  EXPECT_EQ(Bigint::powmNaive(Bigint(7), Bigint(9), Bigint(1)), Bigint(0));
-}
-
-TEST(ModexpDifferential, FixedBaseTableMatchesNaive) {
-  for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
-    Rng rng(1000 + seed);
-    const Bigint m = Bigint::randomBits(rng, 32 + rng.below(200));
-    const Bigint base = Bigint::randomBelow(rng, m);
-    const std::size_t maxBits = 1 + rng.below(128);
-    const unsigned window = 1 + seed % 5;
-    const FixedBaseWindow table(base, m, maxBits, window);
-    for (int i = 0; i < 4; ++i) {
-      const Bigint exp = Bigint::randomBits(rng, 1 + rng.below(maxBits));
-      EXPECT_EQ(table.pow(exp).toBytes(),
-                Bigint::powmNaive(base, exp, m).toBytes())
-          << "seed " << seed << " window " << window;
-    }
-    EXPECT_EQ(table.pow(Bigint(0)).toBytes(),
-              (Bigint(1) % m).toBytes());
+  const std::int64_t cases[][3] = {{0, 0, 1}, {0, 5, 0}, {7, 0, 1}, {7, 1, 7}};
+  for (const auto& [base, exp, want] : cases) {
+    EXPECT_EQ(Bigint::powm(base, exp, m), Bigint(want));
+    EXPECT_EQ(Bigint::powmNaive(base, exp, m), Bigint(want));
   }
+  // m == 1: everything is 0.
+  EXPECT_EQ(Bigint::powm(Bigint(7), Bigint(9), Bigint(1)), Bigint(0));
+  EXPECT_EQ(Bigint::powmNaive(Bigint(7), Bigint(9), Bigint(1)), Bigint(0));
 }
 
 TEST(PaillierDifferential, FastEncryptMatchesGenericReference) {
@@ -135,55 +109,6 @@ TEST(PaillierDifferential, DecryptCrtAndBatchMatchDecrypt) {
     EXPECT_EQ(kp.priv.decryptCrt(cts[i]).toBytes(), want) << "seed " << i;
     EXPECT_EQ(batch[i].toBytes(), want) << "seed " << i;
     EXPECT_EQ(batch[i].toBytes(), ms[i].toBytes()) << "seed " << i;
-  }
-}
-
-TEST(PaillierDifferential, MulPlainManyMatchesMulPlain) {
-  const auto& kp = sharedKey();
-  for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
-    Rng rng(6000 + seed);
-    const Ciphertext c = kp.pub.encrypt(Bigint::randomBelow(rng, kp.pub.n()),
-                                        rng);
-    // Sizes 1..13 straddle the fixed-base amortization crossover, so both
-    // branches of mulPlainMany are exercised.
-    const std::size_t count = 1 + rng.below(13);
-    std::vector<Bigint> ks;
-    for (std::size_t i = 0; i < count; ++i) {
-      ks.push_back(Bigint::randomBits(rng, 1 + rng.below(120)));
-    }
-    if (seed % 7 == 0) ks[0] = Bigint(0);
-    const std::vector<Ciphertext> many = kp.pub.mulPlainMany(c, ks);
-    ASSERT_EQ(many.size(), ks.size());
-    for (std::size_t i = 0; i < ks.size(); ++i) {
-      EXPECT_EQ(many[i].value.toBytes(), kp.pub.mulPlain(c, ks[i]).value.toBytes())
-          << "seed " << seed << " elem " << i;
-    }
-  }
-}
-
-TEST(PaillierDifferential, PooledEncryptionMatchesFresh) {
-  // The pool draws its randomizers through the same rejection loop as
-  // encrypt(), so a pool seeded like a fresh Rng must produce the exact
-  // ciphertext sequence of fresh encryptions.
-  const auto& kp = sharedKey();
-  for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
-    Rng plaintextRng(7000 + seed);
-    const Bigint m1 = Bigint::randomBelow(plaintextRng, kp.pub.n());
-    const Bigint m2 = Bigint::randomBelow(plaintextRng, kp.pub.n());
-
-    Rng poolRng(8000 + seed);
-    RandomizerPool pool(kp.pub, poolRng);
-    pool.refill(2);
-    const Ciphertext pooled1 = pool.encrypt(m1);
-    const Ciphertext pooled2 = pool.encrypt(m2);
-
-    Rng freshRng(8000 + seed);
-    EXPECT_EQ(pooled1.value.toBytes(),
-              kp.pub.encrypt(m1, freshRng).value.toBytes())
-        << "seed " << seed;
-    EXPECT_EQ(pooled2.value.toBytes(),
-              kp.pub.encrypt(m2, freshRng).value.toBytes())
-        << "seed " << seed;
   }
 }
 

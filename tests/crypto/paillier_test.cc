@@ -119,6 +119,17 @@ TEST_F(PaillierTest, PublicKeySerializationRoundTrip) {
   EXPECT_EQ(kp_.priv.decrypt(c), Bigint(99));
 }
 
+TEST_F(PaillierTest, PrivateKeySerializationRoundTrip) {
+  ByteWriter w;
+  kp_.priv.serialize(w);
+  ByteReader r(w.data());
+  const auto restored = PaillierPrivateKey::deserialize(r);
+  const auto ct = kp_.pub.encrypt(Bigint(321), rng_);
+  EXPECT_EQ(restored.decrypt(ct), Bigint(321));
+  EXPECT_EQ(restored.decryptCrt(ct), Bigint(321));
+  EXPECT_EQ(restored.publicKey().n(), kp_.pub.n());
+}
+
 TEST(PaillierKeyGen, DeterministicFromSeed) {
   Rng a(77), b(77);
   const auto ka = generateKeyPair(128, a);

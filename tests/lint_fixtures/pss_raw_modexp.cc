@@ -3,9 +3,9 @@
 //
 // The PSS layer calling a modexp kernel directly bypasses the
 // crypto::Paillier* entry points — the only modexp call sites covered by
-// the differential suite (fast path == reference, byte for byte). A raw
-// powm here could silently disagree with the windowed kernels and no
-// test would see it. This fixture is linted as if it lived in src/pss/.
+// the differential suite (fast path == reference, byte for byte) and the
+// KAT goldens. A raw powm here would sit outside that coverage. This
+// fixture is linted as if it lived in src/pss/.
 #include "crypto/bigint.h"
 
 namespace dpss::pss {

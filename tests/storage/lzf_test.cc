@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/bytes.h"
 #include "common/error.h"
 #include "common/rng.h"
 
@@ -74,6 +75,16 @@ TEST(Lzf, DeclaredSizeMismatchThrows) {
   std::string compressed = lzfCompress("hello world");
   compressed[0] = 50;  // lie about the raw size (varint fits one byte here)
   EXPECT_THROW(lzfDecompress(compressed), CorruptData);
+}
+
+TEST(Lzf, ImpossibleDeclaredSizeThrowsBeforeAllocating) {
+  // 3 bytes of body can decode to at most 264 bytes; a header claiming
+  // 2^62 must be refused as corrupt, not handed to reserve().
+  ByteWriter w;
+  w.varint(std::uint64_t{1} << 62);
+  std::string bad = w.take();
+  bad.append("\xe0\x00\x00", 3);
+  EXPECT_THROW(lzfDecompress(bad), CorruptData);
 }
 
 TEST(Lzf, GarbageInputThrows) {
