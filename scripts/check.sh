@@ -6,7 +6,10 @@
 #                 privacy-hatch leaks fail fast (the arch tree run
 #                 re-runs post-configure with compile_commands coverage
 #                 as the dpss_arch_tree ctest)
-#   2. tier-1   — full build (with -Werror for src/) + full ctest suite
+#   2. tier-1   — full build (with -Werror for src/) + full ctest suite,
+#                 then the multi-process smokes: loopback cluster, admin
+#                 plane, the bench gates, and perfbench --smoke with the
+#                 BENCH_e2e.json counter gate on real dpss_node processes
 #   3. asan     — the FULL ctest suite again under ASan+UBSan
 #                 (UBSan non-recoverable, so any UB fails the test)
 #   4. tsan     — the concurrency-sensitive subset under ThreadSanitizer
@@ -60,6 +63,16 @@ python3 scripts/check_bench.py rebalance
 echo
 echo "== bench smoke: subscription matcher invariants vs BENCH_subs.json =="
 python3 scripts/check_bench.py subs
+
+echo
+echo "== perfbench smoke: every workload on real dpss_node processes =="
+# Builds into .bench_build; ground-truth PSS answers, exactly-once
+# subscription delivery and Q1-Q6 engine equivalence, every process reaped.
+python3 perfbench/run.py --smoke
+
+echo
+echo "== bench gate: pss_oneshot seed-pure counters vs BENCH_e2e.json =="
+python3 scripts/check_bench.py e2e
 
 echo
 echo "== clang-tidy: curated .clang-tidy profile over src/ TUs =="

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Bench smoke gate: re-runs one microbench and checks it against its
-seeded baseline.
+"""Bench smoke gate: re-runs one bench and checks it against its seeded
+baseline.
 
-Each bench has one spec below. A gate runs `<bench> --quick`, parses its
-JSON, and then checks, in order:
+Each bench has one spec below. A gate runs `<bench> --quick` and parses
+its JSON stdout (or runs the spec's own command and parses the JSON on
+the last line of its stdout), and then checks, in order:
 
   - structural keys: must exist and be positive (shape only)
   - ratios vs baseline: a within-run speedup ratio may not fall more than
@@ -14,6 +15,8 @@ JSON, and then checks, in order:
     broken build would otherwise gate nothing)
   - baseline comparisons: scale-independent figures the quick run must
     share with the full baseline run
+  - ceilings: seed-pure counters that may fall freely but may rise only
+    together with the baseline file, compared exactly
 
 Benches:
   pss        bench_pss_hotpath vs BENCH_pss.json: g=n+1 encrypt and CRT
@@ -26,9 +29,14 @@ Benches:
              into every subscription, seals follow the fill threshold,
              the feed recovers every match, and fold throughput stays
              flat as subscriptions fan out.
+  e2e        perfbench/run.py pss_oneshot, seed 42, --trace 1, on the real
+             multi-process cluster vs BENCH_e2e.json: every query correct,
+             no failed operation, the historicals' encryptions per query
+             (buffer arming) never above the baseline, and the named
+             layers cover at least 90% of each query.
 
 Usage:
-    scripts/check_bench.py {pss,rebalance,subs} [--bench PATH]
+    scripts/check_bench.py {e2e,pss,rebalance,subs} [--bench PATH]
         [--baseline PATH] [--tolerance 0.30] [--thrash-tolerance 0.25]
         [--flatness 4.0]
 """
@@ -102,6 +110,16 @@ def rebalance_invariants(g: Gate, doc: dict, label: str, args) -> None:
             f"served {served:.0f} of {segments:.0f}")
 
 
+def e2e_invariants(g: Gate, doc: dict, label: str, args) -> None:
+    g.check(doc.get("correct") is True, f"{label}: every query correct",
+            f"correct={doc.get('correct')}")
+    g.check(doc.get("failed") == 0, f"{label}: no failed operation",
+            f"{doc.get('failed')} of {doc.get('attempted')} failed")
+    coverage = lookup(doc, ("metrics", "pss.layer_coverage", "value"))
+    g.check(coverage >= 0.9, f"{label}: named layers cover the query",
+            f"pss.layer_coverage {coverage:.3f} (floor 0.9)")
+
+
 def subs_invariants(g: Gate, doc: dict, label: str, args) -> None:
     docs = doc.get("documents_per_point", 0)
     max_docs = doc.get("max_documents_per_snapshot", 0)
@@ -170,6 +188,21 @@ def snaps_per_sub(doc: dict) -> float:
 # One spec per bench. "ratios" are (json path, name); "comparisons" are
 # (name, fn(doc) -> float, max |current - baseline|).
 SPECS: dict[str, dict] = {
+    "e2e": {
+        "command": ["python3", "perfbench/run.py", "--workload",
+                    "pss_oneshot", "--seed", "42", "--seconds", "4",
+                    "--trace", "1"],
+        "baseline": "BENCH_e2e.json",
+        "structural": [
+            ("metrics", "pss.traced_queries", "value"),
+            ("metrics", "pss.server_encrypts_per_query", "value"),
+        ],
+        "invariants": e2e_invariants,
+        "ceilings": [
+            (("metrics", "pss.server_encrypts_per_query", "value"),
+             "historical encryptions per query"),
+        ],
+    },
     "pss": {
         "bench": "build/bench/bench_pss_hotpath",
         "baseline": "BENCH_pss.json",
@@ -254,6 +287,17 @@ def run_gate(spec: dict, current: dict, baseline: dict, args) -> int:
             continue
         g.check(abs(cur - base) <= slack, f"{name} matches baseline",
                 f"{cur:.3f} vs {base:.3f}")
+
+    for path, name in spec.get("ceilings", []):
+        try:
+            base = lookup(baseline, path)
+            cur = lookup(current, path)
+        except KeyError as err:
+            g.check(False, name, f"missing gated counter {err}")
+            continue
+        g.check(cur <= base, f"{name} not above baseline",
+                f"{cur:g} (baseline {base:g}; a rise must update "
+                f"{spec['baseline']} in the same change)")
     return g.failures
 
 
@@ -275,15 +319,20 @@ def main() -> int:
     with open(args.baseline or spec["baseline"], encoding="utf-8") as fh:
         baseline = json.load(fh)
 
-    proc = subprocess.run([args.bench or spec["bench"], "--quick"],
-                          capture_output=True, text=True, timeout=600)
+    command = spec.get("command") or [args.bench or spec["bench"], "--quick"]
+    proc = subprocess.run(command, capture_output=True, text=True,
+                          timeout=600)
     if proc.returncode != 0:
         print(proc.stdout)
         print(proc.stderr, file=sys.stderr)
         print(f"FAIL: bench exited {proc.returncode}")
         return 1
+    text = proc.stdout
+    if spec.get("command") is not None and text.strip():
+        # perfbench logs to stderr; its result is the last stdout line.
+        text = text.strip().splitlines()[-1]
     try:
-        current = json.loads(proc.stdout)
+        current = json.loads(text)
     except json.JSONDecodeError as err:
         print(proc.stdout)
         print(f"FAIL: bench stdout is not valid JSON: {err}")

@@ -492,12 +492,8 @@ std::string HistoricalNode::handleRpc(const std::string& request) {
     obs_.counter(kPssSlices).inc();
     ByteReader r(body);
     const std::string docSource = r.str();
-    const std::uint64_t dictSize = r.varint();
-    // Every word costs at least its 1-byte length prefix, so a count past
-    // the remaining body is forged; refuse it before reserving.
-    if (dictSize > r.remaining()) {
-      throw CorruptData("dictionary size exceeds the request body");
-    }
+    // Every word costs at least its 1-byte length prefix.
+    const std::uint64_t dictSize = r.count(1);
     std::vector<std::string> words;
     words.reserve(dictSize);
     for (std::uint64_t i = 0; i < dictSize; ++i) words.push_back(r.str());

@@ -93,6 +93,17 @@ std::uint64_t ByteReader::varint() {
   }
 }
 
+std::uint64_t ByteReader::count(std::size_t minBytesPerItem) {
+  DPSS_CHECK_MSG(minBytesPerItem >= 1, "an item takes at least one byte");
+  const std::uint64_t n = varint();
+  if (n > remaining() / minBytesPerItem) {
+    throw CorruptData("item count " + std::to_string(n) +
+                      " exceeds the remaining " + std::to_string(remaining()) +
+                      " bytes");
+  }
+  return n;
+}
+
 std::int64_t ByteReader::svarint() {
   const std::uint64_t z = varint();
   return static_cast<std::int64_t>((z >> 1) ^ (~(z & 1) + 1));

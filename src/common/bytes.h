@@ -55,6 +55,11 @@ class ByteReader {
   /// Reads exactly n raw bytes.
   std::string_view raw(std::size_t n);
 
+  /// Reads a varint item count and refuses (CorruptData) one the
+  /// remaining bytes cannot hold at `minBytesPerItem` (>= 1) bytes per
+  /// item, so a forged count never sizes an allocation.
+  std::uint64_t count(std::size_t minBytesPerItem);
+
   std::size_t remaining() const { return data_.size() - pos_; }
   bool done() const { return pos_ == data_.size(); }
 

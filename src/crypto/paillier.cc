@@ -187,6 +187,22 @@ std::vector<Bigint> PaillierPrivateKey::decryptCrtBatch(
   return out;
 }
 
+bool PaillierPrivateKey::isZeroModP(const Ciphertext& c) const {
+  // With c = (1 + m·n)·r^n mod n²: r^{n(p-1)} ≡ 1 mod p² (the order
+  // p(p-1) of Z*_{p²} divides n(p-1)), and (1 + m·n)^{p-1} ≡
+  // 1 + (p-1)·m·n mod p², which is 1 iff p | m. Exact for m < p.
+  const Bigint& p2 = p2_.get();
+  return Bigint::powm(c.value % p2, pMinus1_.get(), p2).isOne();
+}
+
+bool PaillierPrivateKey::zeroTestCovers(std::uint64_t terms) const {
+  // Σ of `terms` values < 2^32 is < terms·2^32 <= p whenever
+  // terms < p >> 32 = floor(p / 2^32).
+  const Bigint limit =
+      Bigint::divFloor(p_.get(), Bigint(std::int64_t{1} << 32));
+  return limit.bitLength() > 64 || terms < limit.toUint64();
+}
+
 void PaillierPrivateKey::serialize(ByteWriter& w) const {
   w.str(p_.get().toBytes());
   w.str(q_.get().toBytes());

@@ -12,10 +12,12 @@
 //   E(a)^k         = E(a·k)                   (plaintext scalar "mulPlain")
 //
 // Decryption also ships a CRT fast path (decrypt via p and q separately,
-// ~4x faster); bench_ablation_paillier measures both.
+// ~4x faster); bench_ablation_paillier measures both. A zero test that
+// only needs "is m = 0?" runs on the p half alone (isZeroModP).
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -133,6 +135,17 @@ class PaillierPrivateKey {
   /// opening l_F·(s+1) + l_I buffer slots), amortizing per-call overhead.
   /// Element-wise identical to decryptCrt.
   std::vector<Bigint> decryptCrtBatch(const std::vector<Ciphertext>& cs) const;
+
+  /// Zero test on one CRT half: true iff c^{p-1} mod p² == 1, i.e. iff
+  /// the plaintext is ≡ 0 mod p. One exponentiation mod p² instead of
+  /// decryptCrt's two plus the recombination. Equal to
+  /// decryptCrt(c).isZero() only for plaintexts below p: the caller must
+  /// bound its plaintexts (see zeroTestCovers).
+  bool isZeroModP(const Ciphertext& c) const;
+
+  /// True iff a sum of `terms` plaintexts, each below 2^32, is certain to
+  /// stay below p (terms < p >> 32), so isZeroModP decides it exactly.
+  bool zeroTestCovers(std::uint64_t terms) const;
 
   /// Serializes (p, q); deserialize re-derives all precomputation.
   /// Protect the bytes accordingly — this IS the private key.

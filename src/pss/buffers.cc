@@ -53,9 +53,20 @@ void SearchBuffers::serialize(ByteWriter& w) const {
 
 SearchBuffers SearchBuffers::deserialize(ByteReader& r) {
   SearchBuffers b;
+  // Every ciphertext costs at least its 1-byte length prefix, and each of
+  // the l_F slots carries s data ciphertexts plus one c ciphertext, so the
+  // l_F·s + l_F + l_I slots must fit the remaining bytes. s < remaining()
+  // keeps s + 1 and l_F·(s + 1) from overflowing.
   b.blocks_ = r.varint();
-  const std::uint64_t lf = r.varint();
-  const std::uint64_t li = r.varint();
+  if (b.blocks_ >= r.remaining()) {
+    throw CorruptData("blocks per segment exceed the remaining bytes");
+  }
+  const std::uint64_t lf = r.count(b.blocks_ + 1);
+  const std::uint64_t li = r.count(1);
+  const std::uint64_t slots = lf * (b.blocks_ + 1);
+  if (slots > r.remaining() || li > r.remaining() - slots) {
+    throw CorruptData("buffer slot counts exceed the remaining bytes");
+  }
   auto readN = [&r](std::size_t n, std::vector<crypto::Ciphertext>& out) {
     out.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {

@@ -21,7 +21,8 @@ void EncryptedQuery::serialize(ByteWriter& w) const {
 EncryptedQuery EncryptedQuery::deserialize(ByteReader& r) {
   auto pub = crypto::PaillierPublicKey::deserialize(r);
   auto params = SearchParams::deserialize(r);
-  const std::uint64_t n = r.varint();
+  // Each entry costs at least its 1-byte length prefix.
+  const std::uint64_t n = r.count(1);
   std::vector<crypto::Ciphertext> entries;
   entries.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {

@@ -26,24 +26,31 @@ std::vector<RecoveredSegment> Reconstructor::reconstruct(
   DPSS_CHECK_MSG(env.segmentsProcessed >= lf,
                  "batch must process at least l_F segments (paper: t > l_F)");
 
-  // ---- Step 3.1: decrypt the buffers. -------------------------------
-  // All l_I + l_F·(s+1) slots in one batched CRT pass: the element
-  // results equal per-slot decryptCrt exactly, the batch just amortizes
-  // the per-call overhead across the whole envelope.
-  const std::size_t li = env.buffers.indexBufferLength();
-  std::vector<crypto::Ciphertext> slots;
-  slots.reserve(li + lf * (blocks + 1));
-  for (std::size_t s = 0; s < li; ++s) slots.push_back(env.buffers.match(s));
-  for (std::size_t j = 0; j < lf; ++j) slots.push_back(env.buffers.c(j));
-  for (std::size_t j = 0; j < lf; ++j) {
-    for (std::size_t b = 0; b < blocks; ++b) {
-      slots.push_back(env.buffers.data(j, b));
-    }
+  // ---- Step 3.2: Bloom candidate extraction on lazy zero tests. -----
+  // The scan only asks whether a Bloom slot is zero. Each of the t
+  // segments adds its c-value (at most |K|) into a slot at most k times,
+  // so a slot's plaintext is at most t·k·|K|, below p whenever
+  // k·|K| < 2^32 and t < p >> 32; then isZeroModP — one exponentiation
+  // mod p² — decides the slot exactly. A slot is tested when a probe
+  // first reaches it and the answer is memoized; an index stops probing
+  // at its first zero slot, so a slot no probe reaches is never opened.
+  if (!priv_.zeroTestCovers(env.segmentsProcessed)) {
+    throw InvalidArgument("envelope covers " +
+                          std::to_string(env.segmentsProcessed) +
+                          " segments, too many for the Bloom zero test");
   }
-  const std::vector<Bigint> plain = priv_.decryptCrtBatch(slots);
-  const std::vector<Bigint> iBuf(plain.begin(), plain.begin() + li);
-
-  // ---- Step 3.2: Bloom candidate extraction. ------------------------
+  const std::size_t li = env.buffers.indexBufferLength();
+  DPSS_CHECK_MSG(li == env.params.indexBufferLength,
+                 "index buffer length mismatch");
+  enum class Slot : std::uint8_t { kUntested, kZero, kNonZero };
+  std::vector<Slot> bloomSlots(li, Slot::kUntested);
+  const auto slotIsZero = [&](std::size_t s) {
+    if (bloomSlots[s] == Slot::kUntested) {
+      bloomSlots[s] =
+          priv_.isZeroModP(env.buffers.match(s)) ? Slot::kZero : Slot::kNonZero;
+    }
+    return bloomSlots[s] == Slot::kZero;
+  };
   const crypto::BloomHashFamily bloom(env.bloomSeed, env.params.bloomHashes,
                                       env.params.indexBufferLength);
   const std::uint64_t lo = env.firstIndex;
@@ -52,7 +59,7 @@ std::vector<RecoveredSegment> Reconstructor::reconstruct(
   for (std::uint64_t i = lo; i < hi; ++i) {
     bool allSet = true;
     for (std::size_t t = 0; t < bloom.k(); ++t) {
-      if (iBuf[bloom.hash(t, i)].isZero()) {
+      if (slotIsZero(bloom.hash(t, i))) {
         allSet = false;
         break;
       }
@@ -66,6 +73,19 @@ std::vector<RecoveredSegment> Reconstructor::reconstruct(
         std::to_string(lf) + "); retry with larger l_F / l_I");
   }
   if (candidates.empty()) return {};
+
+  // ---- Step 3.1: decrypt the c and data buffers. --------------------
+  // Only once a candidate survives: all l_F·(s+1) slots in one batched
+  // CRT pass (element-wise equal to per-slot decryptCrt).
+  std::vector<crypto::Ciphertext> slots;
+  slots.reserve(lf * (blocks + 1));
+  for (std::size_t j = 0; j < lf; ++j) slots.push_back(env.buffers.c(j));
+  for (std::size_t j = 0; j < lf; ++j) {
+    for (std::size_t b = 0; b < blocks; ++b) {
+      slots.push_back(env.buffers.data(j, b));
+    }
+  }
+  const std::vector<Bigint> plain = priv_.decryptCrtBatch(slots);
 
   // ---- Steps 3.3 + 4: solve A·c = C' and A·diag(c)·f = F'. -----------
   // Slot j accumulated Σ_r g(a_r, j)·c_{a_r}, so the coefficient matrix
@@ -85,9 +105,9 @@ std::vector<RecoveredSegment> Reconstructor::reconstruct(
   }
   ModMatrix rhs(lf, 1 + blocks, n);
   for (std::size_t j = 0; j < lf; ++j) {
-    rhs.at(j, 0) = plain[li + j];
+    rhs.at(j, 0) = plain[j];
     for (std::size_t b = 0; b < blocks; ++b) {
-      rhs.at(j, 1 + b) = plain[li + lf + j * blocks + b];
+      rhs.at(j, 1 + b) = plain[lf + j * blocks + b];
     }
   }
   const ModMatrix sol = solveConsistentSystem(coeff, rhs);

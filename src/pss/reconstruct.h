@@ -1,6 +1,10 @@
 // Client segment reconstruction (§III-C, Steps 3 and 4).
 //
-//   3.1 decrypt the three buffers with the private key
+//   3.1 decrypt the three buffers with the private key — here opened
+//       lazily: a Bloom slot is only zero-tested on one CRT half
+//       (PaillierPrivateKey::isZeroModP), and only when the scan reaches
+//       it; the c and data buffers are decrypted only when a candidate
+//       survives the scan
 //   3.2 Bloom-scan indices i ∈ [firstIndex, firstIndex + t): i is a
 //       candidate when all k slots h_1(i)..h_k(i) are non-zero; on
 //       underflow, pad with arbitrary non-candidate indices ("pick") so
@@ -46,8 +50,10 @@ class Reconstructor {
   explicit Reconstructor(const crypto::PaillierPrivateKey& priv);
 
   /// Runs Steps 3–4 on one envelope. Returns matching segments ordered by
-  /// stream index. Throws BufferOverflow or CryptoError (singular matrix,
-  /// retry batch with a fresh seed).
+  /// stream index. Throws BufferOverflow, CryptoError (singular matrix,
+  /// retry batch with a fresh seed), or InvalidArgument for an envelope
+  /// of t >= p >> 32 segments, whose Bloom slots the zero test could not
+  /// decide exactly (unreachable for keys of 128 bits and up).
   std::vector<RecoveredSegment> reconstruct(
       const SearchResultEnvelope& envelope) const;
 

@@ -81,6 +81,7 @@ void StreamSearcher::processSegment(std::uint64_t index,
 void StreamSearcher::processSegment(
     std::uint64_t index, const std::vector<std::string>& words,
     const std::vector<crypto::Bigint>& blocks) {
+  DPSS_CHECK_MSG(!finished_, "processSegment on a finished searcher");
   DPSS_CHECK_MSG(blocks.size() == blocks_,
                  "segment must be encoded into exactly s blocks");
   if (processed_ == 0) {
@@ -120,6 +121,7 @@ void StreamSearcher::processSegment(
 }
 
 void StreamSearcher::padSegments(std::size_t count) {
+  DPSS_CHECK_MSG(!finished_, "padSegments on a finished searcher");
   DPSS_CHECK_MSG(processed_ > 0,
                  "padSegments requires a non-empty batch (base index unset)");
   // Folding an empty segment multiplies every touched slot by the
@@ -131,6 +133,8 @@ void StreamSearcher::padSegments(std::size_t count) {
 }
 
 SearchResultEnvelope StreamSearcher::finish() {
+  DPSS_CHECK_MSG(!finished_, "finish on a finished searcher");
+  finished_ = true;
   SearchResultEnvelope env;
   env.prfSeed = prf_.seed();
   env.bloomSeed = bloom_.seed();
@@ -141,15 +145,17 @@ SearchResultEnvelope StreamSearcher::finish() {
   env.documentCount = processed_;
   env.params = query_.params();
   env.buffers = std::move(buffers_);
+  return env;
+}
 
-  // Re-arm for the next batch with fresh buffers and seeds.
+void StreamSearcher::rearm() {
   buffers_ = SearchBuffers(query_.publicKey(), query_.params(), blocks_, rng_);
   prf_ = crypto::BitPrf(rng_.next());
   bloom_ = crypto::BloomHashFamily(rng_.next(), query_.params().bloomHashes,
                                    query_.params().indexBufferLength);
   processed_ = 0;
   firstIndex_ = 0;
-  return env;
+  finished_ = false;
 }
 
 }  // namespace dpss::pss

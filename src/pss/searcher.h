@@ -10,6 +10,8 @@
 //
 // After t segments the broker ships the three buffers plus the seeds of
 // g and the Bloom family ("the broker should return the function g").
+// A searcher is armed once at construction; finish() ends the batch and
+// only an explicit rearm() starts another.
 #pragma once
 
 #include <cstdint>
@@ -84,9 +86,18 @@ class StreamSearcher {
   /// non-empty batch so the base index is already fixed.
   void padSegments(std::size_t count);
 
-  /// Finishes the batch: hands the buffers + seeds to the caller and
-  /// resets internal state for the next batch.
+  /// Ends the batch: hands the buffers + seeds to the caller. The searcher
+  /// is then finished — processSegment, padSegments and finish are checked
+  /// errors until rearm(). A one-shot search (the historical's slice, the
+  /// in-process session) destroys the searcher here and pays for one
+  /// arming only.
   SearchResultEnvelope finish();
+
+  /// Arms fresh buffers and seeds for the next batch: every slot a fresh
+  /// E(0), drawing `rng` in the constructor's order (buffers, then the PRF
+  /// seed, then the Bloom seed). The only way to reuse a finished searcher;
+  /// standing subscriptions call it after each seal.
+  void rearm();
 
   std::uint64_t segmentsProcessed() const { return processed_; }
   const BlockCodec& codec() const { return codec_; }
@@ -107,6 +118,7 @@ class StreamSearcher {
   crypto::BloomHashFamily bloom_;
   std::uint64_t firstIndex_ = 0;
   std::uint64_t processed_ = 0;
+  bool finished_ = false;
 };
 
 }  // namespace dpss::pss

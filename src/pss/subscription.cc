@@ -29,7 +29,7 @@ void SubscriptionSpec::serialize(ByteWriter& w) const {
 SubscriptionSpec SubscriptionSpec::deserialize(ByteReader& r) {
   SubscriptionSpec s;
   s.docSource = r.str();
-  const std::size_t words = r.varint();
+  const std::size_t words = r.count(1);  // >= 1-byte length prefix each
   s.dictionaryWords.reserve(words);
   for (std::size_t i = 0; i < words; ++i) s.dictionaryWords.push_back(r.str());
   s.query = EncryptedQuery::deserialize(r);
@@ -112,6 +112,7 @@ std::optional<SubscriptionSnapshot> SubscriptionMatcher::seal(
   SubscriptionSnapshot snap;  // id / node / seq are stamped by the owner
   snap.paddedSegments = pad;
   snap.envelope = searcher_.finish();
+  searcher_.rearm();
   batchDocuments_ = 0;
   batchStartMs_ = nowMs;
   ++snapshotsSealed_;

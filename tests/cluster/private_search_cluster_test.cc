@@ -176,6 +176,29 @@ TEST_F(PssClusterTest, EnvelopeCountMatchesSliceHolders) {
   EXPECT_EQ(total, 48u);
 }
 
+TEST_F(PssClusterTest, EachSliceSearchArmsItsBuffersOnce) {
+  // A kPssSearch slice draws one fresh E(0) per buffer slot and no more:
+  // the searcher dies with the request, so arming a next batch would be
+  // paid for and never read.
+  Cluster cluster(clock_, {.historicalNodes = 2});
+  loadDocs(cluster, makeDocs(40));
+  const auto encrypts = [&](std::size_t node) {
+    return cluster.historical(node).metrics().snapshot().counterValue(
+        "paillier.encrypt.count");
+  };
+  const std::uint64_t before = encrypts(0) + encrypts(1);
+  const auto query = client_.makeQuery({"virus"});
+  const auto envelopes =
+      cluster.broker().privateSearch("security-log", dict_, query);
+  ASSERT_EQ(envelopes.size(), 2u);
+  std::uint64_t slots = 0;
+  for (const auto& env : envelopes) {
+    slots += params_.bufferLength * env.buffers.blocksPerSegment() +
+             params_.bufferLength + params_.indexBufferLength;
+  }
+  EXPECT_EQ(encrypts(0) + encrypts(1) - before, slots);
+}
+
 TEST_F(PssClusterTest, PackedClusterSearchMatchesUnpacked) {
   // The broker's pssPackFactor makes every historical node fold groups of
   // 3 documents; envelopes advertise the factor and openDocuments splits

@@ -87,6 +87,25 @@ TEST(Bytes, TruncatedStringThrows) {
   EXPECT_THROW(r.str(), CorruptData);
 }
 
+TEST(Bytes, CountBoundedByRemainingBytes) {
+  ByteWriter w;
+  w.varint(3);
+  w.raw("abcdef");  // room for 3 items of 2 bytes, not of 3
+  {
+    ByteReader r(w.data());
+    EXPECT_EQ(r.count(2), 3u);
+  }
+  {
+    ByteReader r(w.data());
+    EXPECT_THROW(r.count(3), CorruptData);
+  }
+  ByteWriter forged;
+  forged.varint(std::uint64_t{1} << 62);
+  forged.raw("x");
+  ByteReader r(forged.data());
+  EXPECT_THROW(r.count(1), CorruptData);
+}
+
 TEST(Bytes, OverlongVarintThrows) {
   std::string bad(11, '\x80');  // continuation forever
   ByteReader r(bad);

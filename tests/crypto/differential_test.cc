@@ -5,6 +5,7 @@
 //   Bigint::powm (GMP)                           vs  Bigint::powmNaive
 //   PaillierPublicKey::encryptWithR (g = n+1)    vs  encryptGenericWithR
 //   PaillierPrivateKey::decryptCrt / CrtBatch    vs  decrypt
+//   PaillierPrivateKey::isZeroModP               vs  decryptCrt(c).isZero()
 //   packPayloads / unpackPayloads                vs  identity
 //   runPrivateSearchPacked                       vs  runPrivateSearch
 //
@@ -110,6 +111,51 @@ TEST(PaillierDifferential, DecryptCrtAndBatchMatchDecrypt) {
     EXPECT_EQ(batch[i].toBytes(), want) << "seed " << i;
     EXPECT_EQ(batch[i].toBytes(), ms[i].toBytes()) << "seed " << i;
   }
+}
+
+TEST(PaillierDifferential, ZeroTestOnOneHalfMatchesDecryptCrt) {
+  // Plaintexts in [0, 2^32) — the range of a Bloom slot — half of them
+  // zero; also sums formed homomorphically, as the fold forms them.
+  const auto& kp = sharedKey();
+  for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
+    Rng rng(6000 + seed);
+    const std::int64_t m =
+        seed % 2 == 0 ? 0
+                      : static_cast<std::int64_t>(
+                            rng.below(std::uint64_t{1} << 32));
+    const Ciphertext c = kp.pub.encrypt(Bigint(m), rng);
+    EXPECT_EQ(kp.priv.isZeroModP(c), kp.priv.decryptCrt(c).isZero())
+        << "seed " << seed;
+    const Ciphertext sum = kp.pub.addCipher(c, kp.pub.encryptZero(rng));
+    EXPECT_EQ(kp.priv.isZeroModP(sum), m == 0) << "seed " << seed;
+  }
+  Rng rng(6999);
+  EXPECT_FALSE(kp.priv.isZeroModP(
+      kp.pub.encrypt(Bigint((std::int64_t{1} << 32) - 1), rng)));
+  EXPECT_FALSE(kp.priv.isZeroModP(kp.pub.encrypt(Bigint(1), rng)));
+}
+
+TEST(PaillierDifferential, ZeroTestPreconditionIsPlaintextBelowP) {
+  // The zero test decides m ≡ 0 (mod p), so a plaintext of exactly p —
+  // outside the precondition — reads as zero although it decrypts to p.
+  // zeroTestCovers(t) is the bound callers check: t values below 2^32
+  // stay below p iff t < p >> 32.
+  Rng rng(0x5eed);
+  const Bigint p = Bigint::randomPrime(rng, 64);
+  Bigint q = Bigint::randomPrime(rng, 64);
+  while (q == p) q = Bigint::randomPrime(rng, 64);
+  const PaillierPrivateKey priv(p, q);
+  const Ciphertext c = priv.publicKey().encrypt(p, rng);
+  EXPECT_EQ(priv.decryptCrt(c), p);
+  EXPECT_TRUE(priv.isZeroModP(c));
+
+  const std::uint64_t limit =
+      Bigint::divFloor(p, Bigint(std::int64_t{1} << 32)).toUint64();
+  EXPECT_TRUE(priv.zeroTestCovers(limit - 1));
+  EXPECT_FALSE(priv.zeroTestCovers(limit));
+  // The smallest key PSS uses (128 bits, a 64-bit p) covers batches of
+  // up to ~2^31 segments.
+  EXPECT_TRUE(sharedKey().priv.zeroTestCovers(std::uint64_t{1} << 30));
 }
 
 TEST(PackingDifferential, PackUnpackRoundTrips) {

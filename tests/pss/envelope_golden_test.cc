@@ -1,16 +1,14 @@
-// Golden pin of the broker fold (§III-C, Step 2): the SHA-256 of the
-// serialized SearchResultEnvelope for a fixed key, query and broker seed
-// over a 40-document, 3-block stream. Any change to the bytes the fold
-// produces — slot selection, blockwise E(c)^f, Bloom update, buffer
-// initialization, envelope layout — fails here byte-for-byte, which the
-// end-to-end search tests (which only check what the client recovers)
-// cannot see. Regenerate only for an intentional format change, and say
-// why in the commit.
+// Golden pins of the broker fold (§III-C, Step 2) and the standing
+// subscription seal: the SHA-256 of the serialized envelopes for a fixed
+// key, query and broker seed. Any change to the bytes the fold or the
+// seal produces — slot selection, blockwise E(c)^f, Bloom update, buffer
+// arming and the order it draws the broker rng in, envelope layout —
+// fails here byte-for-byte, which the end-to-end search tests (which
+// only check what the client recovers) cannot see. Regenerate only for
+// an intentional format change, and say why in the commit.
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,9 +20,13 @@
 #include "pss/query.h"
 #include "pss/searcher.h"
 #include "pss/session.h"
+#include "pss/sha256.h"
+#include "pss/subscription.h"
 
 namespace dpss::pss {
 namespace {
+
+using test::sha256Hex;
 
 constexpr char kEnvelopeSha256[] =
     "10f4e00e394937a5dc243cf8032f7cecab4db554e1fb508ae8cdf11a07187950";
@@ -32,70 +34,14 @@ constexpr char kEnvelopeSha256[] =
 // and E(c)^f modexps (one per block per segment).
 constexpr std::uint64_t kFolds = 1016;
 constexpr std::uint64_t kHomMuls = 120;
+// Arming draws one fresh E(0) per slot, once per batch:
+// l_F·s + l_F + l_I = 12·3 + 12 + 128.
+constexpr std::uint64_t kArmEncrypts = 176;
 
-/// FIPS 180-4 SHA-256 of `data`, lowercase hex.
-std::string sha256Hex(const std::string& data) {
-  static constexpr std::array<std::uint32_t, 64> k = {
-      0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
-      0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
-      0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
-      0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
-      0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147,
-      0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13,
-      0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
-      0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
-      0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
-      0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
-      0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
-  std::array<std::uint32_t, 8> h = {0x6a09e667, 0xbb67ae85, 0x3c6ef372,
-                                    0xa54ff53a, 0x510e527f, 0x9b05688c,
-                                    0x1f83d9ab, 0x5be0cd19};
-  const auto rotr = [](std::uint32_t x, int n) {
-    return (x >> n) | (x << (32 - n));
-  };
-  std::string msg = data;
-  msg.push_back(static_cast<char>(0x80));
-  while (msg.size() % 64 != 56) msg.push_back('\0');
-  const std::uint64_t bits = static_cast<std::uint64_t>(data.size()) * 8;
-  for (int i = 7; i >= 0; --i) {
-    msg.push_back(static_cast<char>((bits >> (8 * i)) & 0xff));
-  }
-  for (std::size_t off = 0; off < msg.size(); off += 64) {
-    std::array<std::uint32_t, 64> w{};
-    for (int i = 0; i < 16; ++i) {
-      for (int b = 0; b < 4; ++b) {
-        w[i] = (w[i] << 8) |
-               static_cast<unsigned char>(msg[off + 4 * i + b]);
-      }
-    }
-    for (int i = 16; i < 64; ++i) {
-      const std::uint32_t s0 =
-          rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-      const std::uint32_t s1 =
-          rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-    }
-    std::array<std::uint32_t, 8> v = h;
-    for (int i = 0; i < 64; ++i) {
-      const std::uint32_t s1 = rotr(v[4], 6) ^ rotr(v[4], 11) ^ rotr(v[4], 25);
-      const std::uint32_t ch = (v[4] & v[5]) ^ (~v[4] & v[6]);
-      const std::uint32_t t1 = v[7] + s1 + ch + k[i] + w[i];
-      const std::uint32_t s0 = rotr(v[0], 2) ^ rotr(v[0], 13) ^ rotr(v[0], 22);
-      const std::uint32_t maj = (v[0] & v[1]) ^ (v[0] & v[2]) ^ (v[1] & v[2]);
-      for (int j = 7; j > 0; --j) v[j] = v[j - 1];
-      v[4] += t1;
-      v[0] = t1 + s0 + maj;
-    }
-    for (int j = 0; j < 8; ++j) h[j] += v[j];
-  }
-  std::string hex;
-  char buf[9];
-  for (const std::uint32_t word : h) {
-    std::snprintf(buf, sizeof(buf), "%08x", word);
-    hex += buf;
-  }
-  return hex;
-}
+// Three consecutive seals of one standing matcher (see
+// SubscriptionSealsMatchGolden).
+constexpr char kSubscriptionSha256[] =
+    "d6c76d1cfda4a73ca4a936a435b33c6fd1d78876a54fd6ac234f796ffcfafefd";
 
 const std::vector<std::string> kDict = {"alpha", "breach", "cipher", "delta",
                                         "echo",  "fox",    "golf",   "hotel"};
@@ -154,6 +100,7 @@ TEST(EnvelopeGolden, FoldBytesMatchGolden) {
   const obs::MetricsSnapshot counts = reg.snapshot();
   EXPECT_EQ(counts.counterValue("paillier.fold.count"), kFolds);
   EXPECT_EQ(counts.counterValue("paillier.homomorphic.mul.count"), kHomMuls);
+  EXPECT_EQ(counts.counterValue("paillier.encrypt.count"), kArmEncrypts);
 
   // The pinned bytes must also still mean the right thing: every
   // i % 5 == 2 document, and only those, opens out of the envelope.
@@ -185,6 +132,69 @@ TEST(EnvelopeGolden, ConcurrentSearchersMatchGolden) {
   for (std::size_t t = 0; t < got.size(); ++t) {
     EXPECT_EQ(got[t], kEnvelopeSha256) << "driver " << t;
   }
+}
+
+TEST(EnvelopeGolden, SubscriptionSealsMatchGolden) {
+  // One standing matcher sealed three times: a full fill-triggered batch,
+  // a partial batch padded up to l_F, and a batch carrying an oversized
+  // document. The second and third batches run on buffers armed after a
+  // seal, so this also pins the order in which arming draws the
+  // matcher's rng (buffers, then the PRF seed, then the Bloom seed).
+  const Dictionary dict(kDict);
+  const SearchParams params{
+      .bufferLength = 8, .indexBufferLength = 64, .bloomHashes = 3};
+  PrivateSearchClient client(dict, params, 256, /*seed=*/91);
+  SubscriptionSpec spec;
+  spec.docSource = "events";
+  spec.dictionaryWords = kDict;
+  spec.query = client.makeQuery({"breach"});
+  spec.blocksPerSegment = 2;
+  spec.policy.maxDocuments = 10;
+  spec.policy.periodMs = 0;
+
+  const auto doc = [](std::uint64_t i) {
+    return i % 3 == 1 ? "breach near cipher " + std::to_string(i)
+                      : "routine entry " + std::to_string(i);
+  };
+  const std::string oversized = "breach " + std::string(200, 'x');
+  obs::MetricsRegistry reg;
+  std::vector<SubscriptionSnapshot> snaps;
+  {
+    obs::ScopedRegistry scope(reg);
+    SubscriptionMatcher matcher(spec, /*seed=*/5150, /*nowMs=*/0);
+    for (std::uint64_t i = 0; i < 24; ++i) {
+      if (i == 14) {
+        // Partial batch [10, 14): padded by 4 to reach l_F = 8.
+        snaps.push_back(*matcher.seal(0));
+      }
+      const std::string text = i == 16 ? oversized : doc(i);
+      EXPECT_EQ(matcher.feed(i, text, text, 0), i != 16);
+      if (auto snap = matcher.sealIfDue(0)) snaps.push_back(std::move(*snap));
+    }
+  }
+  ASSERT_EQ(snaps.size(), 3u);
+  EXPECT_EQ(snaps[0].paddedSegments, 0u);
+  EXPECT_EQ(snaps[1].paddedSegments, 4u);
+  EXPECT_EQ(snaps[2].paddedSegments, 0u);
+
+  ByteWriter w;
+  for (const auto& snap : snaps) snap.serialize(w);
+  EXPECT_EQ(sha256Hex(w.data()), kSubscriptionSha256);
+  // One arming at construction plus one after each seal.
+  const std::uint64_t armed = params.bufferLength * spec.blocksPerSegment +
+                              params.bufferLength + params.indexBufferLength;
+  EXPECT_EQ(reg.snapshot().counterValue("paillier.encrypt.count"), 4 * armed);
+
+  // The pinned bytes still open to every matching document but the
+  // oversized one.
+  SubscriptionFeed feed(client.privateKey());
+  for (const auto& snap : snaps) feed.apply("rt-0/events", snap.envelope);
+  std::vector<std::uint64_t> got;
+  for (const auto& [key, recovered] : feed.documents()) {
+    got.push_back(recovered.streamIndex);
+    EXPECT_EQ(recovered.payload, doc(recovered.streamIndex));
+  }
+  EXPECT_EQ(got, (std::vector<std::uint64_t>{1, 4, 7, 10, 13, 19, 22}));
 }
 
 }  // namespace

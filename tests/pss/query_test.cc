@@ -67,6 +67,18 @@ TEST_F(QueryTest, SerializationRoundTrip) {
   }
 }
 
+TEST_F(QueryTest, ForgedEntryCountIsCorruptData) {
+  // A query declaring 2^62 entries must be refused before anything is
+  // sized by the count.
+  ByteWriter w;
+  kp_.pub.serialize(w);
+  params_.serialize(w);
+  w.varint(std::uint64_t{1} << 62);
+  w.str("x");
+  ByteReader r(w.data());
+  EXPECT_THROW(EncryptedQuery::deserialize(r), CorruptData);
+}
+
 TEST(SearchParams, OptimalBloomHashes) {
   // k = floor(l_I/m · ln 2): l_I = 1000, m = 100 -> floor(6.93) = 6.
   EXPECT_EQ(SearchParams::optimalBloomHashes(1000, 100), 6u);

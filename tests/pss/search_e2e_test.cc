@@ -216,6 +216,33 @@ TEST_F(SearchE2E, EnvelopeSerializationRoundTrip) {
   ASSERT_EQ(a.size(), 2u);
 }
 
+TEST_F(SearchE2E, ForgedBufferCountsAreCorruptData) {
+  // Envelope buffers declaring more slots than bytes follow — a huge l_F,
+  // a huge l_I, or an s whose l_F·(s+1) would wrap — are refused before
+  // anything is sized by them.
+  const auto forged = [](std::uint64_t s, std::uint64_t lf, std::uint64_t li) {
+    ByteWriter w;
+    w.varint(s);
+    w.varint(lf);
+    w.varint(li);
+    for (int i = 0; i < 8; ++i) w.str("c");
+    return w.take();
+  };
+  for (const auto& bytes : {forged(1, std::uint64_t{1} << 62, 0),
+                            forged(1, 1, std::uint64_t{1} << 62),
+                            forged(~std::uint64_t{0}, 2, 0)}) {
+    ByteReader r(bytes);
+    EXPECT_THROW(SearchBuffers::deserialize(r), CorruptData);
+  }
+  // Counts that exactly fit (2·(2+1) + 2 = 8 slots) decode.
+  const std::string ok = forged(2, 2, 2);
+  ByteReader r(ok);
+  const SearchBuffers b = SearchBuffers::deserialize(r);
+  EXPECT_TRUE(r.done());
+  EXPECT_EQ(b.bufferLength(), 2u);
+  EXPECT_EQ(b.indexBufferLength(), 2u);
+}
+
 TEST_F(SearchE2E, PartitionedStreamReconstructsPerEnvelope) {
   // Distributed mode: two nodes each search half the stream with their own
   // buffers; both halves must process >= l_F segments, and the client
@@ -265,6 +292,7 @@ TEST_F(SearchE2E, SearcherResetsBetweenBatches) {
     searcher.processSegment(i, batch1[i]);
   }
   const auto env1 = searcher.finish();
+  searcher.rearm();
 
   std::vector<std::string> batch2(10, "calm");
   batch2[7] = "virus two";
@@ -279,6 +307,66 @@ TEST_F(SearchE2E, SearcherResetsBetweenBatches) {
   ASSERT_EQ(r2.size(), 1u);
   EXPECT_EQ(r1[0].payload, "virus one");
   EXPECT_EQ(r2[0].payload, "virus two");
+
+  // rearm() drew fresh randomness for every slot: the two batches share
+  // no slot ciphertext.
+  const auto slotValues = [](const SearchResultEnvelope& env) {
+    std::set<std::string> out;
+    for (std::size_t j = 0; j < env.params.bufferLength; ++j) {
+      out.insert(env.buffers.c(j).value.toString());
+      for (std::size_t b = 0; b < env.buffers.blocksPerSegment(); ++b) {
+        out.insert(env.buffers.data(j, b).value.toString());
+      }
+    }
+    for (std::size_t j = 0; j < env.params.indexBufferLength; ++j) {
+      out.insert(env.buffers.match(j).value.toString());
+    }
+    return out;
+  };
+  const auto s1 = slotValues(env1);
+  for (const auto& v : slotValues(env2)) EXPECT_EQ(s1.count(v), 0u);
+}
+
+TEST_F(SearchE2E, FinishedSearcherRefusesWorkUntilRearmed) {
+  const auto query = client_.makeQuery({"virus"});
+  StreamSearcher searcher(dict_, query, 1, brokerRng_);
+  searcher.processSegment(0, "virus");
+  (void)searcher.finish();
+  EXPECT_THROW(searcher.processSegment(1, "calm"), InternalError);
+  EXPECT_THROW(searcher.padSegments(1), InternalError);
+  EXPECT_THROW((void)searcher.finish(), InternalError);
+
+  searcher.rearm();
+  searcher.processSegment(5, "calm");
+  searcher.padSegments(2);
+  EXPECT_EQ(searcher.finish().segmentsProcessed, 3u);
+}
+
+TEST_F(SearchE2E, FreshlyArmedSlotsAreDistinctNonTrivialCiphertexts) {
+  // Every initial slot is its own fresh E(0): a trivial 1 or a repeated
+  // ciphertext would let the client, who knows the randomizers of its own
+  // query entries, learn about documents that did not match.
+  const auto query = client_.makeQuery({"virus"});
+  StreamSearcher searcher(dict_, query, 3, brokerRng_);
+  for (int batch = 0; batch < 2; ++batch) {
+    if (batch > 0) searcher.rearm();
+    const auto env = searcher.finish();
+    std::set<std::string> seen;
+    std::size_t slots = 0;
+    const auto check = [&](const crypto::Ciphertext& ct) {
+      ++slots;
+      EXPECT_FALSE(ct.value.isOne());
+      EXPECT_TRUE(seen.insert(ct.value.toString()).second);
+    };
+    for (std::size_t j = 0; j < env.params.bufferLength; ++j) {
+      check(env.buffers.c(j));
+      for (std::size_t b = 0; b < 3; ++b) check(env.buffers.data(j, b));
+    }
+    for (std::size_t j = 0; j < env.params.indexBufferLength; ++j) {
+      check(env.buffers.match(j));
+    }
+    EXPECT_EQ(slots, params_.bufferLength * 4 + params_.indexBufferLength);
+  }
 }
 
 TEST_F(SearchE2E, EmptyBatchYieldsNothing) {

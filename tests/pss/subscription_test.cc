@@ -178,6 +178,17 @@ TEST_F(SubscriptionTest, SpecAndSnapshotSerializationRoundTrip) {
   EXPECT_EQ(fresh[0].streamIndex, 5u);
 }
 
+TEST_F(SubscriptionTest, ForgedWordCountIsCorruptData) {
+  // A spec declaring 2^62 dictionary words must be refused before the
+  // realtime node sizes anything by the count.
+  ByteWriter w;
+  w.str("events");
+  w.varint(std::uint64_t{1} << 62);
+  w.str("anomaly");
+  ByteReader r(w.data());
+  EXPECT_THROW(SubscriptionSpec::deserialize(r), CorruptData);
+}
+
 TEST_F(SubscriptionTest, SnapshotSizeIsIndependentOfStreamLength) {
   // The paper's headline property: per-snapshot communication is the
   // fixed buffer size, no matter how many documents flowed through.
