@@ -131,6 +131,34 @@ PaillierPrivateKey::PaillierPrivateKey(Bigint p, Bigint q)
   hp_ = SecretScalar(Bigint::invert(ell(gp, pv) % pv, pv));
   hq_ = SecretScalar(Bigint::invert(ell(gq, qv) % qv, qv));
   pInvModQ_ = SecretScalar(Bigint::invert(pv, qv));
+  qModPMinus1_ = SecretScalar(qv % pMinus1_.get());
+  pModQMinus1_ = SecretScalar(pv % qMinus1_.get());
+  p2InvModQ2_ = SecretScalar(Bigint::invert(p2_.get(), q2_.get()));
+}
+
+Ciphertext PaillierPrivateKey::encrypt(const Bigint& m, Rng& rng) const {
+  const Bigint r = pub_.drawRandomizer(rng);
+  obs::MetricsRegistry& reg = obs::currentRegistry();
+  reg.counter(kEncryptCount).inc();
+  obs::ScopedTimer timer(reg.histogram(kEncryptNs));
+  const Bigint& n = pub_.n();
+  const Bigint& n2 = pub_.nSquared();
+  DPSS_CHECK_MSG(m.sign() >= 0 && m < n, "plaintext out of [0, n)");
+  const Bigint& p = p_.get();
+  const Bigint& q = q_.get();
+  const Bigint& p2 = p2_.get();
+  const Bigint& q2 = q2_.get();
+  // r^n = (r^q)^p; r^q mod p = (r mod p)^{q mod (p-1)} (Fermat, r is a
+  // unit), and (y + kp)^p ≡ y^p mod p². Likewise with p and q swapped.
+  const Bigint rp = Bigint::powm(
+      Bigint::powm(r % p, qModPMinus1_.get(), p), p, p2);
+  const Bigint rq = Bigint::powm(
+      Bigint::powm(r % q, pModQMinus1_.get(), q), q, q2);
+  // r^n mod n² = rp + p²·((rq - rp)·(p²)^{-1} mod q²)
+  const Bigint diff = ((rq - rp) % q2 + q2) % q2;
+  const Bigint rn = rp + p2 * ((diff * p2InvModQ2_.get()) % q2);
+  const Bigint gm = (Bigint(1) + m * n) % n2;
+  return Ciphertext{(gm * rn) % n2};
 }
 
 Bigint PaillierPrivateKey::decrypt(const Ciphertext& c) const {

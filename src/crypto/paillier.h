@@ -13,7 +13,8 @@
 //
 // Decryption also ships a CRT fast path (decrypt via p and q separately,
 // ~4x faster); bench_ablation_paillier measures both. A zero test that
-// only needs "is m = 0?" runs on the p half alone (isZeroModP).
+// only needs "is m = 0?" runs on the p half alone (isZeroModP). The key
+// holder encrypts on the CRT halves too (PaillierPrivateKey::encrypt).
 #pragma once
 
 #include <cstddef>
@@ -125,6 +126,14 @@ class PaillierPrivateKey {
 
   const PaillierPublicKey& publicKey() const { return pub_; }
 
+  /// E(m) computed on the CRT halves: r^n mod p² as
+  /// ((r mod p)^{q mod (p-1)} mod p)^p mod p², likewise mod q², then
+  /// recombined mod n². Exact, since r^n = (r^q)^p and y^p mod p² depends
+  /// only on y mod p. Draws r with publicKey().drawRandomizer, so the
+  /// same Rng state gives a byte-identical ciphertext to
+  /// publicKey().encrypt. Requires 0 <= m < n.
+  Ciphertext encrypt(const Bigint& m, Rng& rng) const;
+
   /// Standard decryption through λ and μ.
   Bigint decrypt(const Ciphertext& c) const;
 
@@ -161,6 +170,8 @@ class PaillierPrivateKey {
   SecretScalar pMinus1_, qMinus1_;
   SecretScalar hp_, hq_;  // Lp(g^{p-1} mod p²)^{-1} mod p, and for q
   SecretScalar pInvModQ_;
+  SecretScalar qModPMinus1_, pModQMinus1_;  // r^n exponents on each half
+  SecretScalar p2InvModQ2_;                 // (p²)^{-1} mod q²
 };
 
 struct PaillierKeyPair {

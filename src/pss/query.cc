@@ -34,7 +34,7 @@ EncryptedQuery EncryptedQuery::deserialize(ByteReader& r) {
 
 EncryptedQuery buildQuery(const Dictionary& dict,
                           const std::set<std::string>& keywords,
-                          const crypto::PaillierPublicKey& pub,
+                          const crypto::PaillierPrivateKey& priv,
                           const SearchParams& params, Rng& rng) {
   for (const auto& kw : keywords) {
     if (!dict.contains(kw)) {
@@ -45,10 +45,9 @@ EncryptedQuery buildQuery(const Dictionary& dict,
   entries.reserve(dict.size());
   for (std::size_t i = 0; i < dict.size(); ++i) {
     const bool inK = keywords.count(dict.word(i)) > 0;
-    entries.push_back(
-        pub.encrypt(crypto::Bigint(inK ? 1 : 0), rng));
+    entries.push_back(priv.encrypt(crypto::Bigint(inK ? 1 : 0), rng));
   }
-  return EncryptedQuery(pub, std::move(entries), params);
+  return EncryptedQuery(priv.publicKey(), std::move(entries), params);
 }
 
 }  // namespace dpss::pss

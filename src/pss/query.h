@@ -1,7 +1,8 @@
 // Client query construction (§III-C, Step 1).
 //
 // For a disjunction K ⊆ D the client sets q_i = 1 iff w_i ∈ K, encrypts
-// each q_i under its Paillier public key, and ships the ciphertext array
+// each q_i under its Paillier key (on the CRT halves: the client holds
+// the factorization), and ships the ciphertext array
 // Q together with the public key and the search parameters.
 #pragma once
 
@@ -47,10 +48,11 @@ class EncryptedQuery {
 /// Builds Q for the keyword disjunction `keywords` (each must be in the
 /// dictionary; throws InvalidArgument otherwise). Every entry — matching
 /// or not — is a fresh probabilistic encryption, so the broker learns
-/// nothing about K, not even |K|.
+/// nothing about K, not even |K|. The ciphertexts are byte-identical to
+/// publicKey().encrypt from the same Rng state.
 EncryptedQuery buildQuery(const Dictionary& dict,
                           const std::set<std::string>& keywords,
-                          const crypto::PaillierPublicKey& pub,
+                          const crypto::PaillierPrivateKey& priv,
                           const SearchParams& params, Rng& rng);
 
 }  // namespace dpss::pss

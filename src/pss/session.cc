@@ -18,7 +18,7 @@ PrivateSearchClient::PrivateSearchClient(const Dictionary& dict,
 
 EncryptedQuery PrivateSearchClient::makeQuery(
     const std::set<std::string>& keywords) {
-  return buildQuery(dict_, keywords, keys_.get().pub, params_, rng_);
+  return buildQuery(dict_, keywords, keys_.get().priv, params_, rng_);
 }
 
 std::vector<RecoveredSegment> PrivateSearchClient::openDocuments(

@@ -4,6 +4,7 @@
 //
 //   Bigint::powm (GMP)                           vs  Bigint::powmNaive
 //   PaillierPublicKey::encryptWithR (g = n+1)    vs  encryptGenericWithR
+//   PaillierPrivateKey::encrypt (CRT halves)     vs  PaillierPublicKey::encrypt
 //   PaillierPrivateKey::decryptCrt / CrtBatch    vs  decrypt
 //   PaillierPrivateKey::isZeroModP               vs  decryptCrt(c).isZero()
 //   packPayloads / unpackPayloads                vs  identity
@@ -91,6 +92,28 @@ TEST(PaillierDifferential, SameRngSeedSameCiphertextAcrossPaths) {
     EXPECT_EQ(kp.pub.encrypt(m, a).value.toBytes(),
               kp.pub.encryptGeneric(m, b).value.toBytes())
         << "seed " << seed;
+  }
+}
+
+TEST(PaillierDifferential, CrtEncryptMatchesPublicEncrypt) {
+  // Same Rng state ⇒ same r ⇒ byte-identical ciphertext, and both paths
+  // leave the Rng in the same state. Three key sizes; m = 0, 1 and a
+  // random plaintext below n.
+  for (const std::size_t bits : {128u, 256u, 512u}) {
+    Rng keyRng(0xc47 + bits);
+    const PaillierKeyPair kp = generateKeyPair(bits, keyRng);
+    for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
+      Rng seedRng(7000 + seed);
+      const Bigint ms[] = {Bigint(0), Bigint(1),
+                           Bigint::randomBelow(seedRng, kp.pub.n())};
+      for (const Bigint& m : ms) {
+        Rng a(8000 + seed), b(8000 + seed);
+        EXPECT_EQ(kp.priv.encrypt(m, a).value.toBytes(),
+                  kp.pub.encrypt(m, b).value.toBytes())
+            << bits << "-bit key, seed " << seed;
+        EXPECT_EQ(a.next(), b.next()) << bits << "-bit key, seed " << seed;
+      }
+    }
   }
 }
 

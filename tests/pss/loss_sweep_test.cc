@@ -25,7 +25,7 @@ TEST_P(OstrovskyLossSweep, RecoveryWithinExpectedBounds) {
   SearchParams params;
   Rng rng(slots * 131 + copies * 17 + matches);
   crypto::PaillierKeyPair kp = crypto::generateKeyPair(128, rng);
-  const auto query = buildQuery(dict, {"hit"}, kp.pub, params, rng);
+  const auto query = buildQuery(dict, {"hit"}, kp.priv, params, rng);
 
   OstrovskyParams osParams{.bufferSlots = slots, .copies = copies};
   OstrovskySearcher searcher(dict, query, 2, osParams, rng);

@@ -23,7 +23,7 @@ class OstrovskyTest : public ::testing::Test {
 
   EncryptedQuery makeQuery(const std::set<std::string>& kw) {
     SearchParams p;  // buffer params unused by the baseline
-    return buildQuery(dict_, kw, kp_.pub, p, rng_);
+    return buildQuery(dict_, kw, kp_.priv, p, rng_);
   }
 
   Dictionary dict_;

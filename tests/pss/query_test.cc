@@ -21,7 +21,8 @@ class QueryTest : public ::testing::Test {
 };
 
 TEST_F(QueryTest, EntriesDecryptToIndicators) {
-  const auto q = buildQuery(dict_, {"banana", "date"}, kp_.pub, params_, rng_);
+  const auto q =
+      buildQuery(dict_, {"banana", "date"}, kp_.priv, params_, rng_);
   ASSERT_EQ(q.dictionarySize(), 4u);
   EXPECT_EQ(kp_.priv.decrypt(q.entry(0)), crypto::Bigint(0));  // apple
   EXPECT_EQ(kp_.priv.decrypt(q.entry(1)), crypto::Bigint(1));  // banana
@@ -30,13 +31,13 @@ TEST_F(QueryTest, EntriesDecryptToIndicators) {
 }
 
 TEST_F(QueryTest, UnknownKeywordRejected) {
-  EXPECT_THROW(buildQuery(dict_, {"kiwi"}, kp_.pub, params_, rng_),
+  EXPECT_THROW(buildQuery(dict_, {"kiwi"}, kp_.priv, params_, rng_),
                InvalidArgument);
 }
 
 TEST_F(QueryTest, EmptyKeywordSetAllowed) {
   // A query for nothing is valid and indistinguishable from any other.
-  const auto q = buildQuery(dict_, {}, kp_.pub, params_, rng_);
+  const auto q = buildQuery(dict_, {}, kp_.priv, params_, rng_);
   for (std::size_t i = 0; i < 4; ++i) {
     EXPECT_EQ(kp_.priv.decrypt(q.entry(i)), crypto::Bigint(0));
   }
@@ -45,15 +46,15 @@ TEST_F(QueryTest, EmptyKeywordSetAllowed) {
 TEST_F(QueryTest, CiphertextsDoNotRevealIndicators) {
   // Zero and one entries must be fresh probabilistic encryptions: two
   // queries for the same K give entirely different ciphertexts.
-  const auto q1 = buildQuery(dict_, {"apple"}, kp_.pub, params_, rng_);
-  const auto q2 = buildQuery(dict_, {"apple"}, kp_.pub, params_, rng_);
+  const auto q1 = buildQuery(dict_, {"apple"}, kp_.priv, params_, rng_);
+  const auto q2 = buildQuery(dict_, {"apple"}, kp_.priv, params_, rng_);
   for (std::size_t i = 0; i < 4; ++i) {
     EXPECT_NE(q1.entry(i).value, q2.entry(i).value);
   }
 }
 
 TEST_F(QueryTest, SerializationRoundTrip) {
-  const auto q = buildQuery(dict_, {"cherry"}, kp_.pub, params_, rng_);
+  const auto q = buildQuery(dict_, {"cherry"}, kp_.priv, params_, rng_);
   ByteWriter w;
   q.serialize(w);
   ByteReader r(w.data());
@@ -65,6 +66,25 @@ TEST_F(QueryTest, SerializationRoundTrip) {
     EXPECT_EQ(kp_.priv.decrypt(restored.entry(i)),
               kp_.priv.decrypt(q.entry(i)));
   }
+}
+
+TEST_F(QueryTest, CrtEncryptedQueryMatchesPublicKeyReference) {
+  // The client encrypts on the CRT halves; the bytes on the wire must be
+  // exactly what public-key encryption gives from the same Rng state.
+  const std::set<std::string> keywords{"banana", "date"};
+  Rng a(77), b(77);
+  const auto q = buildQuery(dict_, keywords, kp_.priv, params_, a);
+  std::vector<crypto::Ciphertext> entries;
+  for (std::size_t i = 0; i < dict_.size(); ++i) {
+    const bool inK = keywords.count(dict_.word(i)) > 0;
+    entries.push_back(kp_.pub.encrypt(crypto::Bigint(inK ? 1 : 0), b));
+  }
+  const EncryptedQuery reference(kp_.pub, std::move(entries), params_);
+  ByteWriter got, want;
+  q.serialize(got);
+  reference.serialize(want);
+  EXPECT_EQ(got.data(), want.data());
+  EXPECT_EQ(a.next(), b.next());
 }
 
 TEST_F(QueryTest, ForgedEntryCountIsCorruptData) {
