@@ -1,5 +1,7 @@
 #include "pss/blocking.h"
 
+#include <algorithm>
+
 #include "common/bytes.h"
 #include "common/error.h"
 #include "common/hash.h"
@@ -41,11 +43,16 @@ std::vector<crypto::Bigint> BlockCodec::encode(std::string_view payload,
   }
   framed.resize(totalBlocks * blockBytes_, '\0');
 
+  // Little-endian blocks: the frame lands in the low-order bytes and the
+  // padding in the high-order ones, so a short last block is a short
+  // exponent in the fold's E(c)^f.
   std::vector<crypto::Bigint> blocks;
   blocks.reserve(totalBlocks);
+  std::string bigEndian;
   for (std::size_t b = 0; b < totalBlocks; ++b) {
-    blocks.push_back(crypto::Bigint::fromBytes(
-        std::string_view(framed).substr(b * blockBytes_, blockBytes_)));
+    bigEndian.assign(framed, b * blockBytes_, blockBytes_);
+    std::reverse(bigEndian.begin(), bigEndian.end());
+    blocks.push_back(crypto::Bigint::fromBytes(bigEndian));
   }
   return blocks;
 }
@@ -59,23 +66,20 @@ crypto::PlaintextBytes BlockCodec::decode(
     if (bytes.size() > blockBytes_) {
       throw CorruptData("block wider than codec width");
     }
-    framed.append(blockBytes_ - bytes.size(), '\0');  // restore leading zeros
-    framed.append(bytes);
+    // Big-endian minimal bytes -> the block's blockBytes little-endian
+    // bytes: reversed value, then the high-order zeros it dropped.
+    framed.append(bytes.rbegin(), bytes.rend());
+    framed.append(blockBytes_ - bytes.size(), '\0');
   }
   ByteReader r(framed);
-  std::uint64_t len = 0;
-  try {
-    len = r.varint();
-    if (len > r.remaining()) throw CorruptData("length exceeds frame");
-    std::string payload(r.raw(len));
-    const std::uint32_t expect = r.u32();
-    if (checksum32(payload) != expect) {
-      throw CorruptData("payload checksum mismatch");
-    }
-    return crypto::PlaintextBytes(std::move(payload));
-  } catch (const CorruptData&) {
-    throw;
+  const std::uint64_t len = r.varint();
+  if (len > r.remaining()) throw CorruptData("length exceeds frame");
+  std::string payload(r.raw(len));
+  const std::uint32_t expect = r.u32();
+  if (checksum32(payload) != expect) {
+    throw CorruptData("payload checksum mismatch");
   }
+  return crypto::PlaintextBytes(std::move(payload));
 }
 
 std::string packPayloads(const std::vector<std::string_view>& payloads) {

@@ -2,10 +2,14 @@
 // requiring s elements of Z_n ... operations are performed blockwise").
 //
 // A payload is framed as [varint length][bytes][u32 fnv checksum] and cut
-// into fixed-width blocks of blockBytes each, interpreted as big-endian
-// integers strictly below 2^(8·blockBytes) <= n. The checksum lets the
-// Ostrovsky–Skeith baseline detect collision garbage; the three-buffer
-// scheme gets it for free as an integrity check.
+// into fixed-width blocks of blockBytes each, interpreted as little-endian
+// integers strictly below 2^(8·blockBytes) <= n. Little-endian puts the
+// frame in each block's low-order bytes and the zero padding in its
+// high-order bytes, so a block holding k frame bytes is below 2^(8k):
+// the fold's exponent in E(c)^f costs only the frame bytes, not the
+// block width. The checksum lets the Ostrovsky–Skeith baseline detect
+// collision garbage; the three-buffer scheme gets it for free as an
+// integrity check.
 #pragma once
 
 #include <cstddef>

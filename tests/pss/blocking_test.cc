@@ -2,11 +2,49 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "common/bytes.h"
 #include "common/error.h"
+#include "common/hash.h"
 #include "common/rng.h"
 
 namespace dpss::pss {
 namespace {
+
+std::string hexOf(const crypto::Bigint& v) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const char c : v.toBytes()) {
+    const auto b = static_cast<unsigned char>(c);
+    out += kDigits[b >> 4];
+    out += kDigits[b & 0xf];
+  }
+  return out;
+}
+
+/// The block's value as exactly `width` big-endian bytes.
+std::string bigEndianBytes(const crypto::Bigint& v, std::size_t width) {
+  const std::string bytes = v.toBytes();
+  return std::string(width - bytes.size(), '\0') + bytes;
+}
+
+/// The frame encode() cuts into blocks: [varint len][bytes][u32 fnv].
+std::string frameOf(std::string_view payload) {
+  ByteWriter w;
+  w.varint(payload.size());
+  w.raw(payload);
+  w.u32(static_cast<std::uint32_t>(fnv1a(payload) & 0xffffffffu));
+  return w.take();
+}
+
+std::string randomBytes(Rng& rng, std::size_t len) {
+  std::string out;
+  for (std::size_t i = 0; i < len; ++i) {
+    out.push_back(static_cast<char>(rng.next() & 0xff));
+  }
+  return out;
+}
 
 TEST(BlockCodec, SingleBlockRoundTrip) {
   BlockCodec codec(16);
@@ -75,6 +113,57 @@ TEST(BlockCodec, BlockValuesFitWidth) {
   for (const auto& b : blocks) EXPECT_LE(b.bitLength(), 64u);
 }
 
+TEST(BlockCodec, LittleEndianKnownAnswer) {
+  // Frame of "abc": varint 03, 61 62 63, fnv1a("abc") & 0xffffffff =
+  // 0x0541574b as u32 LE (4b 57 41 05), then 8 zero bytes of padding.
+  // Read little-endian, the frame's last byte is the most significant
+  // and the padding vanishes.
+  BlockCodec codec(16);
+  const auto blocks = codec.encode("abc", 1);
+  ASSERT_EQ(blocks.size(), 1u);
+  EXPECT_EQ(hexOf(blocks[0]), "0541574b63626103");
+  EXPECT_EQ(codec.decode(blocks), "abc");
+}
+
+TEST(BlockCodec, OneBlockValueCostsOnlyItsFrameBits) {
+  // The fold's exponent is the block: it must be no wider than the frame
+  // bytes it carries, whatever the block width.
+  Rng rng(11);
+  for (const std::size_t width : {8u, 31u, 63u}) {
+    BlockCodec codec(width);
+    for (std::size_t len = 0; codec.blockCount(len) == 1; ++len) {
+      const std::string payload = randomBytes(rng, len);
+      const auto blocks = codec.encode(payload, 1);
+      ASSERT_EQ(blocks.size(), 1u);
+      EXPECT_LE(blocks[0].bitLength(), 8 * frameOf(payload).size())
+          << "width " << width << ", len " << len;
+      EXPECT_EQ(codec.decode(blocks), payload);
+    }
+  }
+}
+
+TEST(BlockCodec, FullBlocksAreTheBigEndianBlocksReversed) {
+  // Only the layout inside a block changed: every block but the last
+  // holds the same frame bytes as a big-endian cut, in reverse order.
+  Rng rng(13);
+  for (const std::size_t width : {8u, 16u, 31u}) {
+    BlockCodec codec(width);
+    for (const std::size_t len : {40u, 100u, 257u}) {
+      const std::string payload = randomBytes(rng, len);
+      const std::size_t count = codec.blockCount(len);
+      ASSERT_GT(count, 1u);
+      const auto blocks = codec.encode(payload, count);
+      const std::string frame = frameOf(payload);
+      for (std::size_t b = 0; b + 1 < count; ++b) {
+        std::string bytes = bigEndianBytes(blocks[b], width);
+        std::reverse(bytes.begin(), bytes.end());
+        EXPECT_EQ(bytes, frame.substr(b * width, width))
+            << "width " << width << ", len " << len << ", block " << b;
+      }
+    }
+  }
+}
+
 TEST(BlockCodec, RejectsTinyWidth) {
   EXPECT_THROW(BlockCodec(4), InternalError);
 }
@@ -89,11 +178,8 @@ TEST(BlockCodec, FuzzRoundTrip) {
   BlockCodec codec(24);
   Rng rng(7);
   for (int trial = 0; trial < 100; ++trial) {
-    std::string payload;
     const std::size_t len = rng.below(300);
-    for (std::size_t i = 0; i < len; ++i) {
-      payload.push_back(static_cast<char>(rng.next() & 0xff));
-    }
+    const std::string payload = randomBytes(rng, len);
     const std::size_t blocks = codec.blockCount(len);
     ASSERT_EQ(codec.decode(codec.encode(payload, blocks)), payload);
   }

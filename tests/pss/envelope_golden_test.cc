@@ -29,7 +29,7 @@ namespace {
 using test::sha256Hex;
 
 constexpr char kEnvelopeSha256[] =
-    "10f4e00e394937a5dc243cf8032f7cecab4db554e1fb508ae8cdf11a07187950";
+    "b6791ea3eb57ad18621e97eab284526272cbbf6d4ecb4bf683c632e654dbb7f1";
 // Work the batch records: buffer accumulations (the Fig. 7 cost driver)
 // and E(c)^f modexps (one per block per segment).
 constexpr std::uint64_t kFolds = 1016;
@@ -41,7 +41,7 @@ constexpr std::uint64_t kArmEncrypts = 176;
 // Three consecutive seals of one standing matcher (see
 // SubscriptionSealsMatchGolden).
 constexpr char kSubscriptionSha256[] =
-    "d6c76d1cfda4a73ca4a936a435b33c6fd1d78876a54fd6ac234f796ffcfafefd";
+    "958d550094b65373293453153bfe9202813da8bfd9b7342a9b0b1740c2efa502";
 
 const std::vector<std::string> kDict = {"alpha", "breach", "cipher", "delta",
                                         "echo",  "fox",    "golf",   "hotel"};
