@@ -17,13 +17,14 @@ void writeRows(ByteWriter& w, const std::vector<query::ResultRow>& rows) {
 }
 
 std::vector<query::ResultRow> readRows(ByteReader& r) {
-  const std::uint64_t n = r.varint();
+  // A row is at least a 1-byte group length and a 1-byte value count.
+  const std::uint64_t n = r.count(2);
   std::vector<query::ResultRow> rows;
   rows.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     query::ResultRow row;
     row.group = r.str();
-    const std::uint64_t m = r.varint();
+    const std::uint64_t m = r.count(8);  // f64 values
     row.values.reserve(m);
     for (std::uint64_t j = 0; j < m; ++j) row.values.push_back(r.f64());
     rows.push_back(std::move(row));
@@ -61,7 +62,8 @@ BrokerQueryOutcome decodeBrokerQueryOutcome(const std::string& bytes) {
   outcome.segmentsQueried = static_cast<std::size_t>(r.varint());
   outcome.cacheHits = static_cast<std::size_t>(r.varint());
   outcome.servedFromCacheAfterLoss = static_cast<std::size_t>(r.varint());
-  const std::uint64_t n = r.varint();
+  // A SegmentId is two strings, two i64 and a u32: at least 22 bytes.
+  const std::uint64_t n = r.count(22);
   outcome.unreachableSegments.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     outcome.unreachableSegments.push_back(storage::SegmentId::deserialize(r));
@@ -88,10 +90,29 @@ std::string encodeBrokerSearchResponse(const BrokerSearchResponse& resp) {
   return w.take();
 }
 
+BrokerSearchRequest decodeBrokerSearchRequest(const std::string& bytes) {
+  if (bytes.empty() ||
+      static_cast<std::uint8_t>(bytes[0]) != rpc::kBrokerSearch) {
+    throw CorruptData("not a broker search request");
+  }
+  ByteReader r(std::string_view(bytes).substr(1));
+  BrokerSearchRequest req;
+  req.docSource = r.str();
+  // Each word costs at least its 1-byte length prefix.
+  const std::uint64_t n = r.count(1);
+  std::vector<std::string> words;
+  words.reserve(n);
+  for (std::uint64_t i = 0; i < n; ++i) words.push_back(r.str());
+  req.dictionary = pss::Dictionary(std::move(words));
+  req.query = pss::EncryptedQuery::deserialize(r);
+  return req;
+}
+
 BrokerSearchResponse decodeBrokerSearchResponse(const std::string& bytes) {
   ByteReader r(bytes);
   BrokerSearchResponse resp;
-  const std::uint64_t n = r.varint();
+  // An envelope carries at least its five u64 fields.
+  const std::uint64_t n = r.count(40);
   resp.envelopes.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     resp.envelopes.push_back(pss::SearchResultEnvelope::deserialize(r));
@@ -109,16 +130,10 @@ std::string handleBrokerRpc(BrokerNode& broker, const std::string& request) {
       return encodeBrokerQueryOutcome(broker.query(spec));
     }
     case rpc::kBrokerSearch: {
-      const std::string docSource = r.str();
-      const std::uint64_t n = r.varint();
-      std::vector<std::string> words;
-      words.reserve(n);
-      for (std::uint64_t i = 0; i < n; ++i) words.push_back(r.str());
-      const pss::Dictionary dict(std::move(words));
-      const pss::EncryptedQuery query = pss::EncryptedQuery::deserialize(r);
+      const BrokerSearchRequest req = decodeBrokerSearchRequest(request);
       BrokerSearchResponse resp;
-      resp.envelopes =
-          broker.privateSearch(docSource, dict, query, &resp.traceId);
+      resp.envelopes = broker.privateSearch(req.docSource, req.dictionary,
+                                            req.query, &resp.traceId);
       return encodeBrokerSearchResponse(resp);
     }
     default:

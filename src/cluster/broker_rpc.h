@@ -39,6 +39,7 @@ struct BrokerSearchRequest {
 
 /// kBrokerSearch request: [rpc::kBrokerSearch][docSource][dict][query].
 std::string encodeBrokerSearchRequest(const BrokerSearchRequest& req);
+BrokerSearchRequest decodeBrokerSearchRequest(const std::string& bytes);
 
 struct BrokerSearchResponse {
   std::vector<pss::SearchResultEnvelope> envelopes;

@@ -70,7 +70,8 @@ std::string encodeSnapshotList(
 std::vector<pss::SubscriptionSnapshot> decodeSnapshotList(
     const std::string& bytes) {
   ByteReader r(bytes);
-  const std::uint64_t n = r.varint();
+  // A snapshot carries its seq and its envelope's five u64 fields.
+  const std::uint64_t n = r.count(48);
   std::vector<pss::SubscriptionSnapshot> out;
   out.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
@@ -100,7 +101,7 @@ std::vector<pss::SubscriptionId> listSubscriptions(TransportIface& transport,
                                                    const RpcPolicy& rpc) {
   OwnedByteReader resp(
       callWithPolicy(transport, node, encodeListRequest(), rpc));
-  const std::uint64_t n = resp.varint();
+  const std::uint64_t n = resp.count(1);  // one varint per id
   std::vector<pss::SubscriptionId> out;
   out.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) out.push_back(resp.varint());
