@@ -1,6 +1,8 @@
 // Hot-path microbench for the Paillier/PSS pipeline: fast vs reference
-// encryption (g = n+1 shortcut vs generic double exponentiation), CRT and
-// batched decryption, and whole-session document throughput (packed and
+// encryption (g = n+1 shortcut vs generic double exponentiation), the
+// client's CRT encryption vs public-key encryption, CRT and batched
+// decryption, the fold's E(c)^f on a full-width block vs a short
+// document's block, and whole-session document throughput (packed and
 // unpacked).
 //
 // Prints a JSON document; BENCH_pss.json at the repo root is seeded from
@@ -9,14 +11,17 @@
 // across machines, rather than absolute times, which are not.
 //
 // Usage: bench_pss_hotpath [--quick]
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "crypto/paillier.h"
+#include "pss/blocking.h"
 #include "pss/dictionary.h"
 #include "pss/session.h"
 
@@ -36,6 +41,14 @@ double usPerIter(int iters, Fn&& fn) {
   return dt.count() / iters;
 }
 
+std::string randomBytes(Rng& rng, std::size_t len) {
+  std::string out;
+  for (std::size_t i = 0; i < len; ++i) {
+    out.push_back(static_cast<char>(rng.next() & 0xff));
+  }
+  return out;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -52,7 +65,7 @@ int main(int argc, char** argv) {
   std::printf("{\n  \"bench\": \"pss_hotpath\",\n");
   std::printf("  \"key_bits\": %zu,\n", kKeyBits);
 
-  // --- encryption: generic reference vs g = n+1 fast path --------------
+  // --- encryption: generic reference vs g = n+1 fast path vs CRT -------
   {
     const int iters = quick ? 30 : 200;
     Rng rng(7);
@@ -60,15 +73,19 @@ int main(int argc, char** argv) {
     for (int i = 0; i < iters; ++i) {
       ms.push_back(Bigint::randomBelow(rng, pub.n()));
     }
-    Rng rGeneric(11), rFast(11);
+    // Equal seeds: all three paths encrypt under the same randomizers.
+    Rng rGeneric(11), rFast(11), rCrt(11);
     const double genericUs = usPerIter(
         iters, [&](int i) { (void)pub.encryptGeneric(ms[i], rGeneric); });
     const double fastUs =
         usPerIter(iters, [&](int i) { (void)pub.encrypt(ms[i], rFast); });
+    const double crtUs =
+        usPerIter(iters, [&](int i) { (void)kp.priv.encrypt(ms[i], rCrt); });
     std::printf(
         "  \"encrypt\": {\"iters\": %d, \"generic_us\": %.1f, "
-        "\"fast_us\": %.1f, \"fast_speedup\": %.2f},\n",
-        iters, genericUs, fastUs, genericUs / fastUs);
+        "\"fast_us\": %.1f, \"fast_speedup\": %.2f, \"crt_us\": %.1f, "
+        "\"crt_speedup\": %.2f},\n",
+        iters, genericUs, fastUs, genericUs / fastUs, crtUs, fastUs / crtUs);
   }
 
   // --- decryption: standard vs CRT vs batched CRT ----------------------
@@ -94,6 +111,38 @@ int main(int argc, char** argv) {
         "\"crt_us\": %.1f, \"batch_us_per_ct\": %.1f, "
         "\"crt_speedup\": %.2f},\n",
         iters, stdUs, crtUs, batchUs, stdUs / crtUs);
+  }
+
+  // --- fold: E(c)^f on a full-width block vs a short document's block ---
+  {
+    const int iters = quick ? 40 : 200;
+    const pss::BlockCodec codec(pss::BlockCodec::maxBlockBytesFor(kKeyBits));
+    Rng rng(23);
+    const Ciphertext c = pub.encrypt(Bigint(1), rng);
+    // A full block: the first block of a payload longer than one block.
+    const std::string longPayload = randomBytes(rng, 3 * codec.blockBytes());
+    const Bigint full =
+        codec.encode(longPayload, codec.blockCount(longPayload.size()))[0];
+    // The one block a 40-byte document encodes to.
+    const Bigint shortBlock = codec.encode(randomBytes(rng, 40), 1)[0];
+    // Alternate the two over three rounds and keep each one's best pass,
+    // so a burst of other work on the host does not set the ratio.
+    double fullUs = std::numeric_limits<double>::max();
+    double shortUs = fullUs;
+    for (int round = 0; round < 3; ++round) {
+      fullUs = std::min(fullUs, usPerIter(iters, [&](int) {
+                          (void)pub.mulPlain(c, full);
+                        }));
+      shortUs = std::min(shortUs, usPerIter(iters, [&](int) {
+                           (void)pub.mulPlain(c, shortBlock);
+                         }));
+    }
+    std::printf(
+        "  \"fold\": {\"iters\": %d, \"full_bits\": %zu, "
+        "\"short_bits\": %zu, \"full_us\": %.1f, \"short_us\": %.1f, "
+        "\"short_payload_speedup\": %.2f},\n",
+        iters, full.bitLength(), shortBlock.bitLength(), fullUs, shortUs,
+        fullUs / shortUs);
   }
 
   // --- whole session: documents/s, unpacked vs packed ------------------

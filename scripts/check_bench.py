@@ -8,8 +8,9 @@ the last line of its stdout), and then checks, in order:
 
   - structural keys: must exist and be positive (shape only)
   - ratios vs baseline: a within-run speedup ratio may not fall more than
-    --tolerance below the baseline's (ratios are stable across machines;
-    absolute times are not, so those are never gated)
+    --tolerance (or the ratio's own tolerance) below the baseline's
+    (ratios are stable across machines; absolute times are not, so those
+    are never gated)
   - invariants: deterministic properties of the code under test, held by
     the fresh run AND by the baseline (a baseline regenerated from a
     broken build would otherwise gate nothing)
@@ -19,8 +20,9 @@ the last line of its stdout), and then checks, in order:
     together with the baseline file, compared exactly
 
 Benches:
-  pss        bench_pss_hotpath vs BENCH_pss.json: g=n+1 encrypt and CRT
-             decrypt speedups.
+  pss        bench_pss_hotpath vs BENCH_pss.json: g=n+1 encrypt, client
+             CRT encrypt and CRT decrypt speedups, and the fold's speedup
+             on a short document's block over a full-width block.
   rebalance  bench_rebalance vs BENCH_rebalance.json: the coordinator's
              reconcile loop places every segment, respects the per-cycle
              move budget, converges, moves close to the ideal count on
@@ -185,7 +187,8 @@ def snaps_per_sub(doc: dict) -> float:
     return (p["fill_snapshots"] + p["drain_snapshots"]) / p["subscriptions"]
 
 
-# One spec per bench. "ratios" are (json path, name); "comparisons" are
+# One spec per bench. "ratios" are (json path, name[, tolerance]);
+# "comparisons" are
 # (name, fn(doc) -> float, max |current - baseline|).
 SPECS: dict[str, dict] = {
     "e2e": {
@@ -209,7 +212,9 @@ SPECS: dict[str, dict] = {
         "structural": [
             ("encrypt", "fast_us"),
             ("encrypt", "generic_us"),
+            ("encrypt", "crt_us"),
             ("decrypt", "batch_us_per_ct"),
+            ("fold", "short_us"),
             ("session", "docs_per_s_pack1"),
             ("session", "docs_per_s_pack3"),
         ],
@@ -217,6 +222,12 @@ SPECS: dict[str, dict] = {
             (("encrypt", "fast_speedup"),
              "g=n+1 encrypt vs generic reference"),
             (("decrypt", "crt_speedup"), "CRT decrypt vs standard"),
+            (("encrypt", "crt_speedup"),
+             "client CRT encrypt vs public-key encrypt"),
+            # ~1.4x with little-endian blocks, ~1.0x without: the default
+            # 30% band would pass either, so this ratio gets a tighter one.
+            (("fold", "short_payload_speedup"),
+             "fold on a 40-byte document's block vs a full block", 0.15),
         ],
     },
     "rebalance": {
@@ -263,14 +274,14 @@ def run_gate(spec: dict, current: dict, baseline: dict, args) -> int:
     if g.failures:
         return g.failures
 
-    for path, name in spec.get("ratios", []):
+    for path, name, *own in spec.get("ratios", []):
         try:
             base = lookup(baseline, path)
             cur = lookup(current, path)
         except KeyError as err:
             g.check(False, name, f"missing gated ratio {err}")
             continue
-        floor = base * (1.0 - args.tolerance)
+        floor = base * (1.0 - (own[0] if own else args.tolerance))
         g.check(cur >= floor, name,
                 f"{cur:.2f}x (baseline {base:.2f}x, floor {floor:.2f}x)")
 
