@@ -15,8 +15,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -39,6 +39,24 @@ double usPerIter(int iters, Fn&& fn) {
   const auto dt =
       std::chrono::duration<double, std::micro>(SteadyClock::now() - t0);
   return dt.count() / iters;
+}
+
+double median(std::vector<double> xs) {
+  std::nth_element(xs.begin(), xs.begin() + xs.size() / 2, xs.end());
+  return xs[xs.size() / 2];
+}
+
+/// Median microseconds per call of `a` and of `b`, timed call by call and
+/// alternating the two: both see the same host, and a burst of other
+/// work sets neither figure. For ratios gated with a tight band.
+template <typename FnA, typename FnB>
+std::pair<double, double> interleavedMedianUs(int iters, FnA&& a, FnB&& b) {
+  std::vector<double> as, bs;
+  for (int i = 0; i < iters; ++i) {
+    as.push_back(usPerIter(1, [&](int) { a(i); }));
+    bs.push_back(usPerIter(1, [&](int) { b(i); }));
+  }
+  return {median(std::move(as)), median(std::move(bs))};
 }
 
 std::string randomBytes(Rng& rng, std::size_t len) {
@@ -73,19 +91,22 @@ int main(int argc, char** argv) {
     for (int i = 0; i < iters; ++i) {
       ms.push_back(Bigint::randomBelow(rng, pub.n()));
     }
-    // Equal seeds: all three paths encrypt under the same randomizers.
-    Rng rGeneric(11), rFast(11), rCrt(11);
+    Rng rGeneric(11), rFast(11);
     const double genericUs = usPerIter(
         iters, [&](int i) { (void)pub.encryptGeneric(ms[i], rGeneric); });
     const double fastUs =
         usPerIter(iters, [&](int i) { (void)pub.encrypt(ms[i], rFast); });
-    const double crtUs =
-        usPerIter(iters, [&](int i) { (void)kp.priv.encrypt(ms[i], rCrt); });
+    // Client CRT encryption against public-key encryption, equal seeds so
+    // both draw the same randomizers.
+    Rng rPub(13), rCrt(13);
+    const auto [pubUs, crtUs] = interleavedMedianUs(
+        iters, [&](int i) { (void)pub.encrypt(ms[i], rPub); },
+        [&](int i) { (void)kp.priv.encrypt(ms[i], rCrt); });
     std::printf(
         "  \"encrypt\": {\"iters\": %d, \"generic_us\": %.1f, "
         "\"fast_us\": %.1f, \"fast_speedup\": %.2f, \"crt_us\": %.1f, "
         "\"crt_speedup\": %.2f},\n",
-        iters, genericUs, fastUs, genericUs / fastUs, crtUs, fastUs / crtUs);
+        iters, genericUs, fastUs, genericUs / fastUs, crtUs, pubUs / crtUs);
   }
 
   // --- decryption: standard vs CRT vs batched CRT ----------------------
@@ -115,7 +136,7 @@ int main(int argc, char** argv) {
 
   // --- fold: E(c)^f on a full-width block vs a short document's block ---
   {
-    const int iters = quick ? 40 : 200;
+    const int iters = quick ? 200 : 400;
     const pss::BlockCodec codec(pss::BlockCodec::maxBlockBytesFor(kKeyBits));
     Rng rng(23);
     const Ciphertext c = pub.encrypt(Bigint(1), rng);
@@ -125,18 +146,9 @@ int main(int argc, char** argv) {
         codec.encode(longPayload, codec.blockCount(longPayload.size()))[0];
     // The one block a 40-byte document encodes to.
     const Bigint shortBlock = codec.encode(randomBytes(rng, 40), 1)[0];
-    // Alternate the two over three rounds and keep each one's best pass,
-    // so a burst of other work on the host does not set the ratio.
-    double fullUs = std::numeric_limits<double>::max();
-    double shortUs = fullUs;
-    for (int round = 0; round < 3; ++round) {
-      fullUs = std::min(fullUs, usPerIter(iters, [&](int) {
-                          (void)pub.mulPlain(c, full);
-                        }));
-      shortUs = std::min(shortUs, usPerIter(iters, [&](int) {
-                           (void)pub.mulPlain(c, shortBlock);
-                         }));
-    }
+    const auto [fullUs, shortUs] = interleavedMedianUs(
+        iters, [&](int) { (void)pub.mulPlain(c, full); },
+        [&](int) { (void)pub.mulPlain(c, shortBlock); });
     std::printf(
         "  \"fold\": {\"iters\": %d, \"full_bits\": %zu, "
         "\"short_bits\": %zu, \"full_us\": %.1f, \"short_us\": %.1f, "
