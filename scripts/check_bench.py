@@ -187,9 +187,8 @@ def snaps_per_sub(doc: dict) -> float:
     return (p["fill_snapshots"] + p["drain_snapshots"]) / p["subscriptions"]
 
 
-# One spec per bench. "ratios" are (json path, name[, tolerance]);
-# "comparisons" are
-# (name, fn(doc) -> float, max |current - baseline|).
+# One spec per bench. "ratios" are (json path, name[, own tolerance]);
+# "comparisons" are (name, fn(doc) -> float, max |current - baseline|).
 SPECS: dict[str, dict] = {
     "e2e": {
         "command": ["python3", "perfbench/run.py", "--workload",
