@@ -11,7 +11,6 @@
 // across machines, rather than absolute times, which are not.
 //
 // Usage: bench_pss_hotpath [--quick]
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -19,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench/bench_timing.h"
 #include "common/rng.h"
 #include "crypto/paillier.h"
 #include "pss/blocking.h"
@@ -29,35 +29,8 @@ namespace {
 
 using namespace dpss;
 using namespace dpss::crypto;
-using SteadyClock = std::chrono::steady_clock;
-
-/// Microseconds per iteration of `fn` over `iters` runs.
-template <typename Fn>
-double usPerIter(int iters, Fn&& fn) {
-  const auto t0 = SteadyClock::now();
-  for (int i = 0; i < iters; ++i) fn(i);
-  const auto dt =
-      std::chrono::duration<double, std::micro>(SteadyClock::now() - t0);
-  return dt.count() / iters;
-}
-
-double median(std::vector<double> xs) {
-  std::nth_element(xs.begin(), xs.begin() + xs.size() / 2, xs.end());
-  return xs[xs.size() / 2];
-}
-
-/// Median microseconds per call of `a` and of `b`, timed call by call and
-/// alternating the two: both see the same host, and a burst of other
-/// work sets neither figure. For ratios gated with a tight band.
-template <typename FnA, typename FnB>
-std::pair<double, double> interleavedMedianUs(int iters, FnA&& a, FnB&& b) {
-  std::vector<double> as, bs;
-  for (int i = 0; i < iters; ++i) {
-    as.push_back(usPerIter(1, [&](int) { a(i); }));
-    bs.push_back(usPerIter(1, [&](int) { b(i); }));
-  }
-  return {median(std::move(as)), median(std::move(bs))};
-}
+using bench::interleavedMedianUs;
+using bench::SteadyClock;
 
 std::string randomBytes(Rng& rng, std::size_t len) {
   std::string out;
@@ -92,10 +65,9 @@ int main(int argc, char** argv) {
       ms.push_back(Bigint::randomBelow(rng, pub.n()));
     }
     Rng rGeneric(11), rFast(11);
-    const double genericUs = usPerIter(
-        iters, [&](int i) { (void)pub.encryptGeneric(ms[i], rGeneric); });
-    const double fastUs =
-        usPerIter(iters, [&](int i) { (void)pub.encrypt(ms[i], rFast); });
+    const auto [genericUs, fastUs] = interleavedMedianUs(
+        iters, [&](int i) { (void)pub.encryptGeneric(ms[i], rGeneric); },
+        [&](int i) { (void)pub.encrypt(ms[i], rFast); });
     // Client CRT encryption against public-key encryption, equal seeds so
     // both draw the same randomizers.
     Rng rPub(13), rCrt(13);
@@ -117,10 +89,9 @@ int main(int argc, char** argv) {
     for (int i = 0; i < iters; ++i) {
       cs.push_back(pub.encrypt(Bigint::randomBelow(rng, pub.n()), rng));
     }
-    const double stdUs =
-        usPerIter(iters, [&](int i) { (void)kp.priv.decrypt(cs[i]); });
-    const double crtUs =
-        usPerIter(iters, [&](int i) { (void)kp.priv.decryptCrt(cs[i]); });
+    const auto [stdUs, crtUs] = interleavedMedianUs(
+        iters, [&](int i) { (void)kp.priv.decrypt(cs[i]); },
+        [&](int i) { (void)kp.priv.decryptCrt(cs[i]); });
     const auto t0 = SteadyClock::now();
     (void)kp.priv.decryptCrtBatch(cs);
     const double batchUs =

@@ -57,6 +57,10 @@ echo "== bench smoke: pss hot-path speedup ratios vs BENCH_pss.json =="
 python3 scripts/check_bench.py pss
 
 echo
+echo "== bench smoke: topN scan ratio vs BENCH_scan.json =="
+python3 scripts/check_bench.py scan
+
+echo
 echo "== bench smoke: rebalancer invariants vs BENCH_rebalance.json =="
 python3 scripts/check_bench.py rebalance
 

@@ -23,6 +23,10 @@ Benches:
   pss        bench_pss_hotpath vs BENCH_pss.json: g=n+1 encrypt, client
              CRT encrypt and CRT decrypt speedups, and the fold's speedup
              on a short document's block over a full-width block.
+  scan       bench_scan vs BENCH_scan.json: a Table II Q6 topN scan
+             (limit 100) against the same scan shipping every group
+             (limit 0) on one 10k-row segment; the topN scan must stay
+             faster, i.e. choose its groups before building them.
   rebalance  bench_rebalance vs BENCH_rebalance.json: the coordinator's
              reconcile loop places every segment, respects the per-cycle
              move budget, converges, moves close to the ideal count on
@@ -38,7 +42,7 @@ Benches:
              layers cover at least 90% of each query.
 
 Usage:
-    scripts/check_bench.py {e2e,pss,rebalance,subs} [--bench PATH]
+    scripts/check_bench.py {e2e,pss,rebalance,scan,subs} [--bench PATH]
         [--baseline PATH] [--tolerance 0.30] [--thrash-tolerance 0.25]
         [--flatness 4.0]
 """
@@ -227,6 +231,20 @@ SPECS: dict[str, dict] = {
             # 30% band would pass either, so this ratio gets a tighter one.
             (("fold", "short_payload_speedup"),
              "fold on a 40-byte document's block vs a full block", 0.15),
+        ],
+    },
+    "scan": {
+        "bench": "build/bench/bench_scan",
+        "baseline": "BENCH_scan.json",
+        "structural": [
+            ("topn", "groups"),
+            ("topn", "shipped"),
+            ("topn", "full_us"),
+            ("topn", "limit_us"),
+        ],
+        "ratios": [
+            (("topn", "speedup"),
+             "Q6 topN scan vs the same scan shipping every group"),
         ],
     },
     "rebalance": {

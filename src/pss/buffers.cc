@@ -29,9 +29,10 @@ std::uint64_t SearchBuffers::foldSlots(
     std::uint64_t index, const crypto::Ciphertext& ec,
     const std::vector<crypto::Ciphertext>& ecf) {
   DPSS_CHECK_MSG(ecf.size() == blocks_, "need one E(c·f) per block");
+  const std::vector<bool> column = prf.column(index, cBuffer_.size());
   std::uint64_t folds = 0;
   for (std::size_t j = 0; j < cBuffer_.size(); ++j) {
-    if (!prf(index, j)) continue;
+    if (!column[j]) continue;
     for (std::size_t b = 0; b < blocks_; ++b) {
       crypto::Ciphertext& slot = dataBuffer_[j * blocks_ + b];
       slot = pub.addCipher(slot, ecf[b]);

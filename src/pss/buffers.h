@@ -45,9 +45,10 @@ class SearchBuffers {
     return matchBuffer_.at(slot);
   }
 
-  /// Folds one segment into every slot j with g(index, j) = 1: each data
-  /// block gets E(c)^{f_b} (precomputed in `ecf`), the c-slot gets E(c).
-  /// Returns the number of homomorphic accumulations performed.
+  /// Folds one segment into every slot j set in g's column for `index`
+  /// (BitPrf::column, never empty): each data block gets E(c)^{f_b}
+  /// (precomputed in `ecf`), the c-slot gets E(c). Returns the number of
+  /// homomorphic accumulations performed.
   std::uint64_t foldSlots(const crypto::PaillierPublicKey& pub,
                           const crypto::BitPrf& prf, std::uint64_t index,
                           const crypto::Ciphertext& ec,

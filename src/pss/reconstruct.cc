@@ -98,9 +98,10 @@ std::vector<RecoveredSegment> Reconstructor::reconstruct(
   const std::size_t k = candidates.size();
   const crypto::BitPrf g(env.prfSeed);
   ModMatrix coeff(lf, k, n);
-  for (std::size_t j = 0; j < lf; ++j) {
-    for (std::size_t r = 0; r < k; ++r) {
-      coeff.at(j, r) = Bigint(g(candidates[r], j) ? 1 : 0);
+  for (std::size_t r = 0; r < k; ++r) {
+    const std::vector<bool> column = g.column(candidates[r], lf);
+    for (std::size_t j = 0; j < lf; ++j) {
+      coeff.at(j, r) = Bigint(column[j] ? 1 : 0);
     }
   }
   ModMatrix rhs(lf, 1 + blocks, n);

@@ -1,6 +1,7 @@
 #include "query/engine.h"
 
 #include <algorithm>
+#include <functional>
 #include <unordered_map>
 
 #include "common/error.h"
@@ -64,6 +65,13 @@ void accumulate(const BoundAgg& agg, std::size_t row, PartialAgg& out) {
   }
 }
 
+/// One group present in a grouped scan: its dictionary id and its
+/// aggregation accumulators (aggCount slots in the scan's flat buffer).
+struct GroupRef {
+  std::uint32_t id;
+  const PartialAgg* partials;
+};
+
 /// Node-side topN truncation: for ORDER BY ... LIMIT queries a compute
 /// node only ships its local top groups (with generous overfetch), the
 /// standard Druid-style approximation that keeps the broker merge O(limit)
@@ -72,10 +80,16 @@ void accumulate(const BoundAgg& agg, std::size_t row, PartialAgg& out) {
 /// 4x the limit makes disagreement between local and global top sets
 /// rare in practice; exact results are available by running with
 /// limit = 0 and limiting client-side.
-void truncateForTopN(const QuerySpec& spec, QueryResult& result) {
+///
+/// The cut runs on the per-id accumulators before any group key exists,
+/// so only the groups that ship become strings and map entries. Every
+/// group whose order value is at or above the (keep+1)-th largest stays:
+/// ties at the cutoff all ship. An orderBy naming no aggregation cuts
+/// nothing, and finalizeResult rejects it.
+void keepTopN(const QuerySpec& spec, std::vector<GroupRef>& groups) {
   if (spec.limit == 0 || spec.orderBy.empty()) return;
   const std::size_t keep = spec.limit * 4;
-  if (result.groups.size() <= keep) return;
+  if (groups.size() <= keep) return;
   std::size_t orderIdx = spec.aggregations.size();
   for (std::size_t i = 0; i < spec.aggregations.size(); ++i) {
     if (spec.aggregations[i].outputName == spec.orderBy) {
@@ -85,23 +99,22 @@ void truncateForTopN(const QuerySpec& spec, QueryResult& result) {
   }
   if (orderIdx == spec.aggregations.size()) return;  // finalize will throw
 
-  std::vector<std::pair<double, const std::string*>> ranked;
-  ranked.reserve(result.groups.size());
-  for (const auto& [group, partials] : result.groups) {
-    ranked.emplace_back(
-        partialFinalValue(spec.aggregations[orderIdx], partials[orderIdx]),
-        &group);
+  const AggregatorSpec& order = spec.aggregations[orderIdx];
+  std::vector<double> values;
+  values.reserve(groups.size());
+  for (const GroupRef& g : groups) {
+    values.push_back(partialFinalValue(order, g.partials[orderIdx]));
   }
+  std::vector<double> ranked = values;
   std::nth_element(ranked.begin(),
                    ranked.begin() + static_cast<std::ptrdiff_t>(keep),
-                   ranked.end(),
-                   [](const auto& a, const auto& b) { return a.first > b.first; });
-  const double cutoff = ranked[keep].first;
-  for (auto it = result.groups.begin(); it != result.groups.end();) {
-    const double v = partialFinalValue(spec.aggregations[orderIdx],
-                                       it->second[orderIdx]);
-    it = v < cutoff ? result.groups.erase(it) : std::next(it);
+                   ranked.end(), std::greater<>());
+  const double cutoff = ranked[keep];
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < groups.size(); ++i) {
+    if (!(values[i] < cutoff)) groups[kept++] = groups[i];
   }
+  groups.resize(kept);
 }
 
 }  // namespace
@@ -232,22 +245,27 @@ QueryResult scanSegment(const Segment& segment, const QuerySpec& spec) {
           std::vector<PartialAgg>(base, base + aggs));
     }
   } else if (groupDim != nullptr) {
+    std::vector<GroupRef> present;
     if (dense) {
       for (std::uint32_t id = 0; id < touched.size(); ++id) {
-        if (!touched[id]) continue;
-        const PartialAgg* base =
-            denseStore.data() + static_cast<std::size_t>(id) * aggs;
-        result.groups.emplace(groupDim->dict.valueOf(id),
-                              std::vector<PartialAgg>(base, base + aggs));
+        if (touched[id]) {
+          present.push_back(
+              {id, denseStore.data() + static_cast<std::size_t>(id) * aggs});
+        }
       }
     } else {
+      present.reserve(sparseIdx.size());
       for (const auto& [id, offset] : sparseIdx) {
-        const PartialAgg* base = sparseStore.data() + offset;
-        result.groups.emplace(groupDim->dict.valueOf(id),
-                              std::vector<PartialAgg>(base, base + aggs));
+        present.push_back({id, sparseStore.data() + offset});
       }
     }
-    truncateForTopN(spec, result);
+    keepTopN(spec, present);
+    result.groups.reserve(present.size());
+    for (const GroupRef& g : present) {
+      result.groups.emplace(groupDim->dict.valueOf(g.id),
+                            std::vector<PartialAgg>(g.partials,
+                                                    g.partials + aggs));
+    }
   } else {
     // Ungrouped queries always produce one row, even over no data.
     result.groups.emplace("", std::move(global));

@@ -47,6 +47,37 @@ TEST(BitPrf, RowsAreDistinct) {
   EXPECT_EQ(rows.size(), 50u);
 }
 
+TEST(BitPrf, ColumnIsNeverEmptyAndOtherwiseRaw) {
+  // 2^20 (seed, index) pairs at l_F = 16: about 16 raw columns are all
+  // zero (2^-16 each). Each of those gets exactly one set bit; every
+  // other column is g's raw bits unchanged.
+  constexpr std::size_t kWidth = 16;
+  std::size_t emptyRaw = 0;
+  for (std::uint64_t seed = 0; seed < 16; ++seed) {
+    const BitPrf g(seed * 0x9e3779b97f4a7c15ULL + 1);
+    for (std::uint64_t i = 0; i < (1u << 16); ++i) {
+      const std::vector<bool> column = g.column(i, kWidth);
+      ASSERT_EQ(column.size(), kWidth);
+      std::size_t rawOnes = 0;
+      std::size_t ones = 0;
+      for (std::size_t j = 0; j < kWidth; ++j) {
+        rawOnes += g(i, j);
+        ones += column[j];
+      }
+      if (rawOnes == 0) {
+        ++emptyRaw;
+        ASSERT_EQ(ones, 1u) << "seed " << seed << " index " << i;
+        continue;
+      }
+      for (std::size_t j = 0; j < kWidth; ++j) {
+        ASSERT_EQ(column[j], g(i, j)) << "seed " << seed << " index " << i;
+      }
+    }
+  }
+  EXPECT_GT(emptyRaw, 0u);  // the fix-up path ran
+  EXPECT_TRUE(BitPrf(5).column(0, 0).empty());
+}
+
 TEST(BloomHashFamily, SlotsWithinRange) {
   BloomHashFamily fam(3, 5, 100);
   for (std::uint64_t i = 0; i < 1000; ++i) {

@@ -226,8 +226,19 @@ TEST_F(MultiprocessClusterTest, FiveProcessesAnswerQueriesAndPss) {
   EXPECT_GT(servedB, 0u);
 
   // --- plain distributed query through the remote broker --------------
+  // The broker learns of served segments through registry watches, which
+  // can trail the historicals' own report: retry until its answer covers
+  // all 5 segments, then check that answer.
   cluster::RemoteBroker broker(driver, "broker", rpc);
-  const auto outcome = broker.query(countQuery("ads"));
+  cluster::BrokerQueryOutcome outcome;
+  ASSERT_TRUE(eventually([&] {
+    try {
+      outcome = broker.query(countQuery("ads"));
+    } catch (const Unavailable&) {
+      return false;  // most segments not yet visible to the broker
+    }
+    return outcome.segmentsQueried == 5 && !outcome.partial();
+  })) << "broker saw " << outcome.segmentsQueried << " of 5 segments";
   ASSERT_EQ(outcome.rows.size(), 1u);
   EXPECT_DOUBLE_EQ(outcome.rows[0].values[0], 5 * 120.0);
   EXPECT_EQ(outcome.segmentsQueried, 5u);

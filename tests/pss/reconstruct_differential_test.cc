@@ -79,9 +79,13 @@ Opened referenceOpen(const crypto::PaillierPrivateKey& priv,
   const crypto::BitPrf g(env.prfSeed);
   ModMatrix coeff(lf, k, n);
   ModMatrix rhs(lf, 1 + blocks, n);
+  std::vector<std::vector<bool>> columns;
+  for (std::size_t r = 0; r < k; ++r) {
+    columns.push_back(g.column(candidates[r], lf));
+  }
   for (std::size_t j = 0; j < lf; ++j) {
     for (std::size_t r = 0; r < k; ++r) {
-      coeff.at(j, r) = Bigint(g(candidates[r], j) ? 1 : 0);
+      coeff.at(j, r) = Bigint(columns[r][j] ? 1 : 0);
     }
     rhs.at(j, 0) = plain[li + j];
     for (std::size_t b = 0; b < blocks; ++b) {

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/error.h"
+#include "crypto/prf.h"
 #include "pss/reconstruct.h"
 #include "pss/searcher.h"
 #include "pss/session.h"
@@ -51,6 +52,53 @@ std::vector<std::string> makeStream() {
   stream[8] = "possible data breach through gateway";
   stream[15] = "virus and breach confirmed on root host";
   return stream;
+}
+
+TEST(SearchLoneCandidate, AllZeroRawPrfColumnStillReconstructs) {
+  // Under the paper's raw g, a match at an index whose bits
+  // g(i, 0..l_F-1) are all zero folds into no slot; as the envelope's
+  // only candidate its one-column system is singular (CryptoError) and
+  // the match is lost. BitPrf::column gives such an index one slot.
+  const Dictionary dict(kDictWords);
+  const SearchParams params{
+      .bufferLength = 16, .indexBufferLength = 128, .bloomHashes = 4};
+  PrivateSearchClient client(dict, params, 128, /*seed=*/31);
+  const EncryptedQuery query = client.makeQuery({"breach"});
+  const std::string match = "breach";
+  const std::size_t blocks = blocksNeeded({match}, 128);
+  constexpr std::uint64_t kBrokerSeed = 99;
+
+  // The broker rng fixes g's seed: learn it from a throwaway batch.
+  std::uint64_t prfSeed = 0;
+  {
+    Rng rng(kBrokerSeed);
+    StreamSearcher probe(dict, query, blocks, rng);
+    probe.processSegment(0, "routine");
+    probe.padSegments(params.bufferLength);
+    prfSeed = probe.finish().prfSeed;
+  }
+  const crypto::BitPrf g(prfSeed);
+  const auto rawColumnEmpty = [&](std::uint64_t i) {
+    for (std::size_t j = 0; j < params.bufferLength; ++j) {
+      if (g(i, j)) return false;
+    }
+    return true;
+  };
+  std::uint64_t index = 0;
+  while (!rawColumnEmpty(index)) ++index;  // ~2^16 tries
+
+  Rng rng(kBrokerSeed);
+  StreamSearcher searcher(dict, query, blocks, rng);
+  searcher.processSegment(index, match);
+  searcher.padSegments(params.bufferLength);
+  const SearchResultEnvelope env = searcher.finish();
+  ASSERT_EQ(env.prfSeed, prfSeed);
+
+  const auto recovered = client.open(env);
+  ASSERT_EQ(recovered.size(), 1u);
+  EXPECT_EQ(recovered[0].index, index);
+  EXPECT_EQ(recovered[0].cValue, 1u);
+  EXPECT_EQ(recovered[0].payload, match);
 }
 
 TEST_F(SearchE2E, PackedDocumentsRecoverIndividually) {
