@@ -26,7 +26,10 @@ Benches:
   scan       bench_scan vs BENCH_scan.json: a Table II Q6 topN scan
              (limit 100) against the same scan shipping every group
              (limit 0) on one 10k-row segment; the topN scan must stay
-             faster, i.e. choose its groups before building them.
+             faster, i.e. choose its groups before building them. The
+             serialized topN partial may not grow (compact partials), and
+             finalizing every group with limit 100 must stay faster than
+             with limit 0 (rows built only for the limit).
   rebalance  bench_rebalance vs BENCH_rebalance.json: the coordinator's
              reconcile loop places every segment, respects the per-cycle
              move budget, converges, moves close to the ideal count on
@@ -241,10 +244,18 @@ SPECS: dict[str, dict] = {
             ("topn", "shipped"),
             ("topn", "full_us"),
             ("topn", "limit_us"),
+            ("partial", "bytes"),
+            ("finalize", "full_us"),
+            ("finalize", "limit_us"),
         ],
         "ratios": [
             (("topn", "speedup"),
              "Q6 topN scan vs the same scan shipping every group"),
+            (("finalize", "speedup"),
+             "Q6 finalize of every group, limit 0 vs limit 100"),
+        ],
+        "ceilings": [
+            (("partial", "bytes"), "serialized Q6 topN segment partial"),
         ],
     },
     "rebalance": {

@@ -208,15 +208,21 @@ BrokerQueryOutcome BrokerNode::query(const query::QuerySpec& spec) {
   std::uint64_t bytesMoved = 0;
 
   // Scatter: one task per segment (the paper's parallel query unit).
+  // Each task returns its partial as the bytes it arrived in; the merge
+  // loop decodes them straight into the merged result.
   // Pool workers re-enter this node's observability scope and continue
   // the query's trace explicitly — thread-locals don't cross the pool.
+  struct SegmentReply {
+    std::string partial;  // serialized QueryResult
+    bool cacheOnMerge = false;  // a fresh, cacheable RPC reply
+  };
   const obs::TraceContext traceCtx = obs::currentTraceContext();
-  std::vector<std::future<query::QueryResult>> futures;
+  std::vector<std::future<SegmentReply>> futures;
   futures.reserve(targets.size());
   for (const auto& target : targets) {
     futures.push_back(pool->submit([this, target, spec, &outcome, &statsMu,
                                     &segmentLatencies, &bytesMoved,
-                                    traceCtx]() -> query::QueryResult {
+                                    traceCtx]() -> SegmentReply {
       obs::ScopedRegistry obsScope(obs_);
       obs::TraceScope traceScope(traceCtx);
       obs::SpanGuard scatterSpan("broker.scatter");
@@ -245,7 +251,7 @@ BrokerQueryOutcome BrokerNode::query(const query::QuerySpec& spec) {
           MutexLock lock(statsMu);
           ++outcome.cacheHits;
           if (target.replicas.empty()) ++outcome.servedFromCacheAfterLoss;
-          return *cached;
+          return SegmentReply{std::move(*cached), false};
         }
       }
       if (cacheable) obs_.counter(kCacheMisses).inc();
@@ -254,10 +260,8 @@ BrokerQueryOutcome BrokerNode::query(const query::QuerySpec& spec) {
           obs_.counter(kScatterRpcs).inc();
           const std::uint64_t rpcStart = obs::nowNanos();
           const SegmentQueryRequest req{target.id, spec};
-          const std::string responseBytes =
+          std::string responseBytes =
               callWithPolicy(transport_, node, req.encode(), options_.rpcPolicy);
-          ByteReader resultReader(responseBytes);
-          auto result = query::QueryResult::deserialize(resultReader);
           const std::uint64_t rpcNs = obs::nowNanos() - rpcStart;
           obs_.histogram(kScatterLatencyNs).observe(rpcNs);
           scatterSpan.tag("node", node);
@@ -266,8 +270,7 @@ BrokerQueryOutcome BrokerNode::query(const query::QuerySpec& spec) {
             MutexLock lock(statsMu);
             bytesMoved += responseBytes.size();
           }
-          if (cacheable) cachePut(target.cacheKey, result);
-          return result;
+          return SegmentReply{std::move(responseBytes), cacheable};
         } catch (const Unavailable&) {
           continue;  // try the next replica
         } catch (const NotFound&) {
@@ -289,7 +292,14 @@ BrokerQueryOutcome BrokerNode::query(const query::QuerySpec& spec) {
   std::exception_ptr firstError;
   for (std::size_t i = 0; i < futures.size(); ++i) {
     try {
-      merged.mergeFrom(futures[i].get());
+      SegmentReply reply = futures[i].get();
+      ByteReader reader(reply.partial);
+      merged.mergeSerialized(reader);
+      // Cache only what decoded: a corrupt reply must not answer later
+      // queries too.
+      if (reply.cacheOnMerge) {
+        cachePut(targets[i].cacheKey, std::move(reply.partial));
+      }
     } catch (const Unavailable&) {
       outcome.unreachableSegments.push_back(targets[i].id);
       if (firstLost.empty()) firstLost = targets[i].id.toString();
@@ -298,8 +308,8 @@ BrokerQueryOutcome BrokerNode::query(const query::QuerySpec& spec) {
       outcome.unreachableSegments.push_back(targets[i].id);
       if (firstLost.empty()) firstLost = targets[i].id.toString();
     } catch (...) {
-      // User-level error (bad column, malformed spec): surface after all
-      // tasks finished.
+      // User-level error (bad column, malformed spec) or a corrupt
+      // partial: surface after all tasks finished.
       if (!firstError) firstError = std::current_exception();
     }
   }
@@ -529,15 +539,15 @@ std::vector<SegmentId> BrokerNode::visibleSegments(
   return it->second.lookup(interval);
 }
 
-void BrokerNode::cachePut(const std::string& key,
-                          const query::QueryResult& result) {
+void BrokerNode::cachePut(const std::string& key, std::string partial) {
+  if (options_.resultCacheCapacity == 0) return;
   MutexLock lock(mu_);
   const auto it = cacheIndex_.find(key);
   if (it != cacheIndex_.end()) {
     cacheList_.erase(it->second);
     cacheIndex_.erase(it);
   }
-  cacheList_.push_front(CacheEntry{key, result});
+  cacheList_.push_front(CacheEntry{key, std::move(partial)});
   cacheIndex_[key] = cacheList_.begin();
   while (cacheList_.size() > options_.resultCacheCapacity) {
     cacheIndex_.erase(cacheList_.back().key);
@@ -545,12 +555,12 @@ void BrokerNode::cachePut(const std::string& key,
   }
 }
 
-std::optional<query::QueryResult> BrokerNode::cacheGet(const std::string& key) {
+std::optional<std::string> BrokerNode::cacheGet(const std::string& key) {
   MutexLock lock(mu_);
   const auto it = cacheIndex_.find(key);
   if (it == cacheIndex_.end()) return std::nullopt;
   cacheList_.splice(cacheList_.begin(), cacheList_, it->second);
-  return it->second->result;
+  return it->second->partial;
 }
 
 }  // namespace dpss::cluster

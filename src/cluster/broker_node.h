@@ -167,19 +167,20 @@ class BrokerNode : public PrivateSearchBroker {
   std::shared_ptr<ThreadPool> pool_ DPSS_GUARDED_BY(mu_);
   Rng rng_ DPSS_GUARDED_BY(mu_){0xb20c};
 
-  // LRU result cache: (segment id string + query fingerprint) -> partial.
+  // LRU result cache: (segment id string + query fingerprint) -> the
+  // partial's serialized bytes, merged exactly like an RPC reply.
   struct CacheEntry {
     std::string key;
-    query::QueryResult result;
+    std::string partial;
   };
   // front = most recent
   std::list<CacheEntry> cacheList_ DPSS_GUARDED_BY(mu_);
   std::map<std::string, std::list<CacheEntry>::iterator> cacheIndex_
       DPSS_GUARDED_BY(mu_);
 
-  void cachePut(const std::string& key, const query::QueryResult& result)
+  void cachePut(const std::string& key, std::string partial)
       DPSS_EXCLUDES(mu_);
-  std::optional<query::QueryResult> cacheGet(const std::string& key)
+  std::optional<std::string> cacheGet(const std::string& key)
       DPSS_EXCLUDES(mu_);
 };
 

@@ -1,31 +1,33 @@
 #include "common/bytes.h"
 
 #include <bit>
-#include <cstring>
 
 #include "common/error.h"
 
 namespace dpss {
 
-void ByteWriter::u16(std::uint16_t v) {
-  u8(static_cast<std::uint8_t>(v));
-  u8(static_cast<std::uint8_t>(v >> 8));
+namespace {
+
+/// Appends the little-endian bytes of `v` in one append (the shifts
+/// compile to a single store on little-endian hosts).
+template <typename T>
+void appendLe(std::string& out, T v) {
+  char bytes[sizeof(T)];
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    bytes[i] = static_cast<char>(v >> (8 * i));
+  }
+  out.append(bytes, sizeof(T));
 }
 
-void ByteWriter::u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
-}
+}  // namespace
 
-void ByteWriter::u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
-}
+void ByteWriter::u16(std::uint16_t v) { appendLe(out_, v); }
 
-void ByteWriter::f64(double v) {
-  std::uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  u64(bits);
-}
+void ByteWriter::u32(std::uint32_t v) { appendLe(out_, v); }
+
+void ByteWriter::u64(std::uint64_t v) { appendLe(out_, v); }
+
+void ByteWriter::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
 
 void ByteWriter::varint(std::uint64_t v) {
   while (v >= 0x80) {
@@ -57,29 +59,25 @@ std::uint8_t ByteReader::u8() {
   return static_cast<std::uint8_t>(data_[pos_++]);
 }
 
-std::uint16_t ByteReader::u16() {
-  const auto lo = u8();
-  return static_cast<std::uint16_t>(lo | (u8() << 8));
-}
-
-std::uint32_t ByteReader::u32() {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(u8()) << (8 * i);
-  return v;
-}
-
-std::uint64_t ByteReader::u64() {
+template <typename T>
+T ByteReader::loadLe() {
+  need(sizeof(T));
+  const auto* p = reinterpret_cast<const unsigned char*>(data_.data() + pos_);
   std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(u8()) << (8 * i);
-  return v;
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
+  }
+  pos_ += sizeof(T);
+  return static_cast<T>(v);
 }
 
-double ByteReader::f64() {
-  const std::uint64_t bits = u64();
-  double v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
+std::uint16_t ByteReader::u16() { return loadLe<std::uint16_t>(); }
+
+std::uint32_t ByteReader::u32() { return loadLe<std::uint32_t>(); }
+
+std::uint64_t ByteReader::u64() { return loadLe<std::uint64_t>(); }
+
+double ByteReader::f64() { return std::bit_cast<double>(u64()); }
 
 std::uint64_t ByteReader::varint() {
   std::uint64_t v = 0;

@@ -65,6 +65,9 @@ class ByteReader {
 
  private:
   void need(std::size_t n) const;
+  /// One bounds check, then the little-endian value at the cursor.
+  template <typename T>
+  T loadLe();
 
   std::string_view data_;
   std::size_t pos_ = 0;

@@ -99,6 +99,11 @@ void bindControl(cluster::TransportIface& transport,
   });
 }
 
+void unbindControl(cluster::TransportIface& transport,
+                   const std::string& nodeName) {
+  transport.unbind(controlNode(nodeName));
+}
+
 std::string controlPing(cluster::TransportIface& transport,
                         const std::string& nodeName) {
   OwnedByteReader r(cluster::callWithPolicy(

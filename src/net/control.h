@@ -50,6 +50,9 @@ bool shutdownRequested();
 void bindControl(cluster::TransportIface& transport,
                  const std::string& nodeName, const std::string& role,
                  ControlTargets targets);
+/// Unbinds "<name>.ctl" (before the ControlTargets it captured die).
+void unbindControl(cluster::TransportIface& transport,
+                   const std::string& nodeName);
 
 // --- client helpers ------------------------------------------------------
 

@@ -256,6 +256,32 @@ void mainLoop(const Flags& f, dpss::Clock& clock,
   }
 }
 
+/// Unbinds a role's control channel, and `alsoServed`, when it leaves
+/// scope. Unbinding waits out the handler calls already running, so a
+/// role declares this right after the objects its handlers capture: it
+/// stops serving before they die, on a normal return and on an exception
+/// alike, while pool threads would otherwise still answer the RPCs other
+/// nodes send as they shut down.
+class ServingScope {
+ public:
+  ServingScope(dpss::net::NetTransport& transport, std::string node,
+               std::vector<std::string> alsoServed = {})
+      : transport_(transport),
+        node_(std::move(node)),
+        alsoServed_(std::move(alsoServed)) {}
+  ~ServingScope() {
+    for (const auto& name : alsoServed_) transport_.unbind(name);
+    dpss::net::unbindControl(transport_, node_);
+  }
+  ServingScope(const ServingScope&) = delete;
+  ServingScope& operator=(const ServingScope&) = delete;
+
+ private:
+  dpss::net::NetTransport& transport_;
+  std::string node_;
+  std::vector<std::string> alsoServed_;
+};
+
 /// The authoritative metadata store: journaled + snapshotted when
 /// --meta-dir was given (survives a process restart), in-memory
 /// otherwise.
@@ -372,6 +398,7 @@ int runSubstrate(const Flags& f, dpss::Clock& clock,
                                         clock, f.leaseMs);
   transport.bind(dpss::net::kSubstrateNode, substrate.handler());
   dpss::net::bindControl(transport, f.name, "substrate", {});
+  const ServingScope serving(transport, f.name, {dpss::net::kSubstrateNode});
   dpss::net::AdminPlane plane;
   plane.nodeName = f.name;
   plane.role = "substrate";
@@ -444,6 +471,8 @@ int runCoordinator(const Flags& f, dpss::Clock& clock,
     }
   });
   dpss::net::bindControl(transport, f.name, "coordinator", {});
+  const ServingScope serving(transport, f.name,
+                             {dpss::net::kSubstrateNode, f.name});
   dpss::net::AdminPlane plane;
   plane.nodeName = f.name;
   plane.role = "coordinator";
@@ -498,6 +527,7 @@ int runHistorical(const Flags& f, dpss::Clock& clock,
   dpss::net::ControlTargets targets;
   targets.historical = &node;
   dpss::net::bindControl(transport, f.name, "historical", targets);
+  const ServingScope serving(transport, f.name);
   node.start();
   registry.start();
   dpss::net::AdminPlane plane;
@@ -569,6 +599,7 @@ int runRealtime(const Flags& f, dpss::Clock& clock,
   targets.topic = f.topic;
   targets.partition = f.partition;
   dpss::net::bindControl(transport, f.name, "realtime", targets);
+  const ServingScope serving(transport, f.name);
   // A process restarted right after a crash races its dead predecessor's
   // ephemeral announcement: wait out the lease sweep instead of dying.
   for (int attempt = 0;; ++attempt) {
@@ -631,6 +662,7 @@ int runBroker(const Flags& f, dpss::Clock& clock,
   // after launch are routed through their announced endpoints.
   installResolver(transport, registry);
   dpss::net::bindControl(transport, f.name, "broker", {});
+  const ServingScope serving(transport, f.name);
   broker.start();
   registry.start();
   dpss::net::AdminPlane plane;

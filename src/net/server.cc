@@ -60,6 +60,7 @@ void NetServer::bind(const std::string& nodeName, cluster::RpcHandler handler) {
 void NetServer::unbind(const std::string& nodeName) {
   MutexLock lock(mu_);
   handlers_.erase(nodeName);
+  while (inFlight_.count(nodeName) > 0) handlerDone_.wait(mu_);
 }
 
 bool NetServer::serves(const std::string& nodeName) const {
@@ -132,9 +133,11 @@ void NetServer::handleRequest(std::uint64_t connId, Frame request) {
   pool_->submit([this, connId, request = std::move(request)]() mutable {
     std::string payload;
     std::uint8_t kind = frame::kResponse;
+    std::string target;
+    bool counted = false;
     try {
       ByteReader r(request.payload);
-      const std::string target = r.str();
+      target = r.str();
       cluster::RpcHandler handler;
       {
         MutexLock lock(mu_);
@@ -143,6 +146,9 @@ void NetServer::handleRequest(std::uint64_t connId, Frame request) {
           throw Unavailable("no route to node: " + target);
         }
         handler = it->second;
+        // Counted until the handler returns: unbind() waits it out.
+        ++inFlight_[target];
+        counted = true;
       }
       // Same envelope the in-process transport builds: optional trace
       // context, then the raw rpc body the handler sees.
@@ -158,6 +164,12 @@ void NetServer::handleRequest(std::uint64_t connId, Frame request) {
     } catch (const std::exception& e) {
       kind = frame::kError;
       payload = encodeErrorPayload(e);
+    }
+    if (counted) {
+      MutexLock lock(mu_);
+      const auto it = inFlight_.find(target);
+      if (--it->second == 0) inFlight_.erase(it);
+      handlerDone_.notify_all();
     }
     queueResponse(connId,
                   encodeFrame(Frame{kind, request.requestId,

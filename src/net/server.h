@@ -50,6 +50,9 @@ class NetServer {
 
   /// Registers/replaces the handler serving logical node `nodeName`.
   void bind(const std::string& nodeName, cluster::RpcHandler handler);
+  /// Stops routing to `nodeName`, then waits until no worker is still
+  /// inside its handler, so whatever the handler captured may die as
+  /// soon as this returns. Must not be called from that handler itself.
   void unbind(const std::string& nodeName);
   bool serves(const std::string& nodeName) const;
 
@@ -86,6 +89,9 @@ class NetServer {
   mutable Mutex mu_;
   bool running_ DPSS_GUARDED_BY(mu_) = false;
   std::map<std::string, cluster::RpcHandler> handlers_ DPSS_GUARDED_BY(mu_);
+  // nodeName -> handler calls running on the pool (absent = none).
+  std::map<std::string, std::size_t> inFlight_ DPSS_GUARDED_BY(mu_);
+  CondVar handlerDone_;
   // connId -> encoded frames queued by workers, pulled by the loop.
   std::map<std::uint64_t, std::deque<std::string>> pending_
       DPSS_GUARDED_BY(mu_);

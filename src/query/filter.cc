@@ -169,7 +169,19 @@ class NotFilter final : public Filter {
 
 }  // namespace
 
-FilterPtr Filter::deserialize(ByteReader& r) {
+namespace {
+
+/// Nesting cap for decoded filters: a forged NOT chain one byte per level
+/// would otherwise recurse as deep as the message is long.
+constexpr int kMaxDecodeDepth = 64;
+/// Every encoded filter is at least a tag and two one-byte fields.
+constexpr std::size_t kMinFilterBytes = 3;
+
+FilterPtr decodeFilter(ByteReader& r, int depth) {
+  if (depth > kMaxDecodeDepth) {
+    throw CorruptData("filter nested deeper than " +
+                      std::to_string(kMaxDecodeDepth));
+  }
   const auto tag = static_cast<Tag>(r.u8());
   switch (tag) {
     case Tag::kSelector: {
@@ -179,7 +191,7 @@ FilterPtr Filter::deserialize(ByteReader& r) {
     }
     case Tag::kIn: {
       std::string dim = r.str();
-      const std::uint64_t n = r.varint();
+      const std::uint64_t n = r.count(1);
       std::vector<std::string> values;
       values.reserve(n);
       for (std::uint64_t i = 0; i < n; ++i) values.push_back(r.str());
@@ -187,20 +199,25 @@ FilterPtr Filter::deserialize(ByteReader& r) {
     }
     case Tag::kAnd:
     case Tag::kOr: {
-      const std::uint64_t n = r.varint();
+      const std::uint64_t n = r.count(kMinFilterBytes);
+      if (n == 0) throw CorruptData("AND/OR filter without children");
       std::vector<FilterPtr> children;
       children.reserve(n);
       for (std::uint64_t i = 0; i < n; ++i) {
-        children.push_back(Filter::deserialize(r));
+        children.push_back(decodeFilter(r, depth + 1));
       }
       return tag == Tag::kAnd ? andFilter(std::move(children))
                               : orFilter(std::move(children));
     }
     case Tag::kNot:
-      return notFilter(Filter::deserialize(r));
+      return notFilter(decodeFilter(r, depth + 1));
   }
   throw CorruptData("unknown filter tag");
 }
+
+}  // namespace
+
+FilterPtr Filter::deserialize(ByteReader& r) { return decodeFilter(r, 0); }
 
 FilterPtr selectorFilter(std::string dimension, std::string value) {
   return std::make_shared<SelectorFilter>(std::move(dimension),

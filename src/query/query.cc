@@ -59,11 +59,16 @@ QuerySpec QuerySpec::deserialize(ByteReader& r) {
   const TimeMs end = r.i64();
   q.interval = Interval(start, end);
   if (r.u8() != 0) q.filter = Filter::deserialize(r);
-  const std::uint64_t n = r.varint();
+  // An aggregation is at least its type byte and two string lengths.
+  const std::uint64_t n = r.count(3);
   q.aggregations.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     AggregatorSpec a;
-    a.type = static_cast<AggType>(r.u8());
+    const std::uint8_t type = r.u8();
+    if (type > static_cast<std::uint8_t>(AggType::kAvg)) {
+      throw CorruptData("unknown aggregator type " + std::to_string(type));
+    }
+    a.type = static_cast<AggType>(type);
     a.outputName = r.str();
     a.metric = r.str();
     q.aggregations.push_back(std::move(a));

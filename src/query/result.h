@@ -37,7 +37,16 @@ struct QueryResult {
 
   void mergeFrom(const QueryResult& other);
 
+  /// Wire form: row/segment counters, then per group its key, arity and
+  /// one compact partial per aggregator — a flags byte naming the fields
+  /// whose bits differ from PartialAgg{}, then only those fields (count
+  /// as an svarint). Bit-exact, and decodable without the spec.
   void serialize(ByteWriter& w) const;
+  /// Decodes one serialized result straight into this one: adds into the
+  /// groups already present and emplaces only new ones, exactly as
+  /// `mergeFrom(deserialize(r))` would. Forged counts, unknown flag bits
+  /// and an arity that disagrees with a merged group are CorruptData.
+  void mergeSerialized(ByteReader& r);
   static QueryResult deserialize(ByteReader& r);
 };
 

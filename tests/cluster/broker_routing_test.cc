@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "cluster/cluster.h"
+#include "query/engine.h"
 #include "storage/adtech.h"
 
 namespace dpss::cluster {
@@ -87,6 +88,64 @@ TEST(BrokerRouting, DifferentQueriesDoNotShareCacheEntries) {
   other.aggregations.push_back(query::longSumAgg("impressions"));
   const auto outcome = cluster.broker().query(other);
   EXPECT_EQ(outcome.cacheHits, 0u);
+}
+
+TEST(BrokerRouting, CacheAfterLossAnswersTopNFromCachedBytes) {
+  ManualClock clock(1'400'000'000'000);
+  Cluster cluster(clock, {.historicalNodes = 1});
+  AdTechConfig config;
+  config.rowsPerSegment = 500;
+  const auto segments = generateAdTechSegments(config, "ads", 3);
+  cluster.publishSegments(segments);
+  const auto spec =
+      query::tableTwoQuery(6, "ads", Interval(0, 4'000'000'000'000LL));
+  query::QueryResult reference;
+  for (const auto& seg : segments) {
+    reference.mergeFrom(query::scanSegment(*seg, spec));
+  }
+  const auto expected = query::finalizeResult(spec, reference);
+  ASSERT_FALSE(expected.empty());
+
+  const auto first = cluster.broker().query(spec);  // caches the partials
+  EXPECT_EQ(first.rows, expected);
+  // Every call to the only copy now fails: the cached bytes alone answer.
+  cluster.transport().setPartitioned("historical-0", true);
+  const auto second = cluster.broker().query(spec);
+  EXPECT_EQ(second.cacheHits, 3u);
+  EXPECT_TRUE(second.unreachableSegments.empty());
+  EXPECT_EQ(second.rows, expected);
+}
+
+TEST(BrokerRouting, CorruptPartialFailsTheQueryAndIsNotCached) {
+  ManualClock clock(1'400'000'000'000);
+  Cluster cluster(clock, {.historicalNodes = 1});
+  AdTechConfig config;
+  config.rowsPerSegment = 50;
+  cluster.publishSegments(generateAdTechSegments(config, "ads", 1));
+  const auto spec = countQuery(Interval(0, 4'000'000'000'000LL));
+  // The only copy answers with a truncated partial.
+  cluster.transport().bind("historical-0", [](const std::string&) {
+    return std::string(3, '\0');
+  });
+  EXPECT_THROW(cluster.broker().query(spec), CorruptData);
+  // Had those bytes been cached, this would be CorruptData again.
+  cluster.transport().setPartitioned("historical-0", true);
+  EXPECT_THROW(cluster.broker().query(spec), Unavailable);
+}
+
+TEST(BrokerRouting, ZeroCapacityCacheHoldsNothing) {
+  ManualClock clock(1'400'000'000'000);
+  ClusterOptions options;
+  options.historicalNodes = 1;
+  options.brokerCacheCapacity = 0;
+  Cluster cluster(clock, options);
+  AdTechConfig config;
+  config.rowsPerSegment = 50;
+  cluster.publishSegments(generateAdTechSegments(config, "ads", 2));
+  const auto spec = countQuery(Interval(0, 4'000'000'000'000LL));
+  (void)cluster.broker().query(spec);
+  cluster.transport().setPartitioned("historical-0", true);
+  EXPECT_THROW(cluster.broker().query(spec), Unavailable);
 }
 
 TEST(BrokerRouting, QueryForUnknownDataSourceIsEmptyNotError) {

@@ -241,6 +241,37 @@ TEST(Engine, QuerySpecSerializationRoundTrip) {
   EXPECT_EQ(restored.fingerprint(), q.fingerprint());
 }
 
+TEST(Engine, ForgedQuerySpecsAreCorruptData) {
+  // Everything a spec holds before its aggregation list.
+  const auto prefix = [] {
+    ByteWriter w;
+    w.str("ads");
+    w.i64(0);
+    w.i64(1000);
+    w.u8(0);  // no filter
+    return w;
+  };
+  ByteWriter huge = prefix();
+  huge.varint(std::uint64_t{1} << 60);
+  huge.u8(0);
+  huge.str("cnt");
+  huge.str("");
+  ByteReader hugeReader(huge.data());
+  EXPECT_THROW(QuerySpec::deserialize(hugeReader), CorruptData);
+
+  ByteWriter badType = prefix();
+  badType.varint(1);
+  badType.u8(static_cast<std::uint8_t>(AggType::kAvg) + 1);
+  badType.str("cnt");
+  badType.str("");
+  badType.str("");  // groupBy
+  badType.str("");  // orderBy
+  badType.varint(0);
+  badType.i64(0);
+  ByteReader badTypeReader(badType.data());
+  EXPECT_THROW(QuerySpec::deserialize(badTypeReader), CorruptData);
+}
+
 TEST(Engine, FingerprintDistinguishesQueries) {
   const Interval all(0, 1000);
   EXPECT_NE(tableTwoQuery(1, "a", all).fingerprint(),

@@ -117,5 +117,56 @@ TEST(Filter, SerializationRoundTrip) {
             f->evaluate(*seg).toPositions());
 }
 
+// --- forged wire input ------------------------------------------------------
+// Filters arrive inside query specs off broker and historical sockets;
+// each forged shape below must be a typed CorruptData, never an
+// allocation sized by the sender or unbounded recursion.
+
+FilterPtr decodeFilter(const std::string& bytes) {
+  ByteReader r(bytes);
+  return Filter::deserialize(r);
+}
+
+TEST(FilterForged, HugeInValueCountIsCorruptData) {
+  ByteWriter w;
+  w.u8(2);  // IN
+  w.str("country");
+  w.varint(std::uint64_t{1} << 60);
+  w.str("us");
+  EXPECT_THROW(decodeFilter(w.data()), CorruptData);
+}
+
+TEST(FilterForged, HugeChildCountIsCorruptData) {
+  for (const std::uint8_t tag : {3, 4}) {  // AND, OR
+    ByteWriter w;
+    w.u8(tag);
+    w.varint(std::uint64_t{1} << 60);
+    selectorFilter("a", "b")->serialize(w);
+    EXPECT_THROW(decodeFilter(w.data()), CorruptData) << int{tag};
+  }
+}
+
+TEST(FilterForged, EmptyAndOrIsCorruptData) {
+  for (const std::uint8_t tag : {3, 4}) {
+    ByteWriter w;
+    w.u8(tag);
+    w.varint(0);
+    EXPECT_THROW(decodeFilter(w.data()), CorruptData) << int{tag};
+  }
+}
+
+TEST(FilterForged, DeepNotChainIsCorruptData) {
+  ByteWriter w;
+  for (int i = 0; i < 1'000'000; ++i) w.u8(5);  // NOT NOT NOT ...
+  selectorFilter("a", "b")->serialize(w);
+  EXPECT_THROW(decodeFilter(w.data()), CorruptData);
+  // Nesting a real query could use still decodes.
+  FilterPtr f = selectorFilter("publisher", "sina");
+  for (int i = 0; i < 32; ++i) f = notFilter(andFilter({f}));
+  ByteWriter ok;
+  f->serialize(ok);
+  EXPECT_EQ(decodeFilter(ok.data())->describe(), f->describe());
+}
+
 }  // namespace
 }  // namespace dpss::query
