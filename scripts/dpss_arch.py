@@ -30,6 +30,13 @@ Checks, all hard errors:
                       Layer-public headers need no marker; marking the
                       implementation-detail ones keeps each layer's
                       public surface explicit and small.
+  unreached-header -- a src/ header that no translation unit outside
+                      tests/ includes, directly or through other
+                      headers (its own .cc does not count; TUs in src/,
+                      bench/, perfbench/ and examples/ do). Library code
+                      that only its own tests reach is dead weight; a
+                      header that exists for the in-process test harness
+                      says so with a "// dpss-arch: test-harness" marker.
   untracked-tu     -- with --compile-commands: a src/ .cc file missing
                       from compile_commands.json, i.e. not built by any
                       CMakeLists — code that silently escapes -Werror,
@@ -75,6 +82,12 @@ LAYER_DEPS = {
 
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"')
 INTERNAL_RE = re.compile(r"//\s*dpss-arch:\s*internal\b")
+TEST_HARNESS_RE = re.compile(r"//\s*dpss-arch:\s*test-harness\b")
+
+# Trees whose files may include src/ headers. src/ is the layered
+# library; the others only consume it. tests/ is deliberately absent: a
+# header reached from tests alone is not reached by any program.
+SOURCE_DIRS = ("src", "bench", "perfbench", "examples")
 
 
 @dataclass
@@ -125,6 +138,7 @@ class Analyzer:
             self.check_file(relpath)
         self.check_cycles()
         self.check_internal_headers()
+        self.check_unreached_headers()
         return self.findings
 
     def check_file(self, relpath: str):
@@ -255,6 +269,54 @@ class Analyzer:
                         )
                     )
 
+    def check_unreached_headers(self):
+        """Every src/ header must be reached from some TU other than its
+        own .cc. Roots are the src/ .cc files plus every file outside
+        src/ (bench/perfbench/examples headers and sources alike)."""
+        includes = {
+            path: [
+                t
+                for t in (self.resolve(inc) for _l, inc in parse_includes(text))
+                if t is not None
+            ]
+            for path, text in self.files.items()
+        }
+        reached: set = set()
+        for root in sorted(self.files):
+            if root.split("/")[0] not in SOURCE_DIRS:
+                continue  # tests/ reaching a header does not count
+            if layer_of(root) is not None and not root.endswith(".cc"):
+                continue
+            own = root[: -len(".cc")] + ".h" if root.endswith(".cc") else None
+            seen = {own}
+            todo = [t for t in includes[root] if t not in seen]
+            while todo:
+                header = todo.pop()
+                if header in seen:
+                    continue
+                seen.add(header)
+                reached.add(header)
+                todo.extend(t for t in includes.get(header, []) if t not in seen)
+        for path, text in sorted(self.files.items()):
+            if (
+                layer_of(path) is None
+                or not path.endswith(".h")
+                or path in reached
+                or TEST_HARNESS_RE.search(text)
+            ):
+                continue
+            self.findings.append(
+                Finding(
+                    path,
+                    1,
+                    "unreached-header",
+                    "no translation unit outside tests/ includes this "
+                    "header (its own .cc does not count); delete the "
+                    "module, or mark it // dpss-arch: test-harness if it "
+                    "exists for the in-process test harness",
+                )
+            )
+
     def classification(self) -> dict:
         """Per-header public/internal classification: a header is
         internal when marked, public otherwise."""
@@ -269,15 +331,15 @@ class Analyzer:
 
 def load_tree(root: str) -> dict:
     files = {}
-    src = os.path.join(root, "src")
-    for dirpath, _dirnames, filenames in os.walk(src):
-        for name in sorted(filenames):
-            if not name.endswith((".h", ".cc")):
-                continue
-            full = os.path.join(dirpath, name)
-            relpath = os.path.relpath(full, root).replace(os.sep, "/")
-            with open(full, encoding="utf-8") as fh:
-                files[relpath] = fh.read()
+    for top in SOURCE_DIRS:
+        for dirpath, _dirnames, filenames in os.walk(os.path.join(root, top)):
+            for name in sorted(filenames):
+                if not name.endswith((".h", ".cc", ".cpp")):
+                    continue
+                full = os.path.join(dirpath, name)
+                relpath = os.path.relpath(full, root).replace(os.sep, "/")
+                with open(full, encoding="utf-8") as fh:
+                    files[relpath] = fh.read()
     return files
 
 
@@ -294,6 +356,8 @@ def check_compile_db(root: str, db_path: str, files: dict) -> list:
         tracked.add(os.path.relpath(full, root).replace(os.sep, "/"))
     findings = []
     for relpath in sorted(files):
+        if layer_of(relpath) is None:
+            continue  # perfbench/ has its own build; bench/ is not layered
         if relpath.endswith(".cc") and relpath not in tracked:
             findings.append(
                 Finding(
@@ -337,12 +401,17 @@ SELFTEST_CASES = [
             **CLEAN_TREE,
             "src/pss/a.h": '#include "pss/b.h"\n',
             "src/pss/b.h": '#include "pss/a.h"\n',
+            "src/pss/user.cc": '#include "pss/a.h"\n',
         },
     ),
     (
         "self-include-cycle",
         {"include-cycle"},
-        {**CLEAN_TREE, "src/pss/self.h": '#include "pss/self.h"\n'},
+        {
+            **CLEAN_TREE,
+            "src/pss/self.h": '#include "pss/self.h"\n',
+            "src/pss/user.cc": '#include "pss/self.h"\n',
+        },
     ),
     (
         "unknown-layer",
@@ -379,6 +448,44 @@ SELFTEST_CASES = [
         "system-includes-ignored",
         set(),
         {**CLEAN_TREE, "src/common/x.cc": "#include <vector>\n"},
+    ),
+    (
+        "unreached-header",  # only its own .cc and tests include it
+        {"unreached-header"},
+        {
+            **CLEAN_TREE,
+            "src/storage/orphan.h": '#include "common/bytes.h"\n',
+            "src/storage/orphan.cc": '#include "storage/orphan.h"\n',
+            "tests/storage/orphan_test.cc": '#include "storage/orphan.h"\n',
+        },
+    ),
+    (
+        "unreached-header-behind-unreached-header",
+        {"unreached-header"},
+        {
+            **CLEAN_TREE,
+            "src/storage/orphan.h": '#include "storage/detail.h"\n',
+            "src/storage/orphan.cc": '#include "storage/orphan.h"\n',
+            "src/storage/detail.h": "#pragma once\n",
+        },
+    ),
+    (
+        "test-harness-marker",
+        set(),
+        {
+            **CLEAN_TREE,
+            "src/cluster/harness.h": "// dpss-arch: test-harness\n",
+            "src/cluster/harness.cc": '#include "cluster/harness.h"\n',
+        },
+    ),
+    (
+        "reached-from-bench",
+        set(),
+        {
+            **CLEAN_TREE,
+            "src/storage/tool.h": "#pragma once\n",
+            "bench/bench_tool.cc": '#include "storage/tool.h"\n',
+        },
     ),
 ]
 

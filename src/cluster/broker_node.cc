@@ -4,7 +4,6 @@
 
 #include "cluster/broker_rpc.h"
 #include "cluster/names.h"
-#include "cluster/stats.h"
 #include "cluster/subscription_broker.h"
 #include "common/bytes.h"
 #include "common/error.h"
@@ -55,14 +54,11 @@ void BrokerNode::start() {
   pool_ = std::make_shared<ThreadPool>(options_.scatterThreads);
   running_ = true;
   viewDirty_ = true;
-  // The broker answers stats probes (it never announces, so the
-  // coordinator lists it explicitly when assembling cluster stats) and —
-  // for clients in other processes — full queries and PSS rounds.
+  // The broker answers clients in other processes: full queries, PSS
+  // rounds and the subscription plane.
   transport_.bind(name_, [this](const std::string& req) {
     if (req.empty()) throw CorruptData("empty broker rpc");
     switch (static_cast<std::uint8_t>(req[0])) {
-      case rpc::kStats:
-        return handleStatsRpc(obs_, req.substr(1));
       case rpc::kBrokerQuery:
       case rpc::kBrokerSearch:
         return handleBrokerRpc(*this, req);

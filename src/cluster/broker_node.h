@@ -107,7 +107,7 @@ class BrokerNode : public PrivateSearchBroker {
       const pss::EncryptedQuery& encryptedQuery,
       std::uint64_t* traceIdOut = nullptr) override;
 
-  /// This node's metrics + span store (also served over rpc::kStats).
+  /// This node's metrics + span store.
   obs::MetricsRegistry& metrics() { return obs_; }
 
   /// Attaches the subscription plane: kSubscribe/kUnsubscribe/kSnapshot

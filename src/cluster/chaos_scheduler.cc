@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "cluster/stats.h"
 #include "common/error.h"
 #include "common/hash.h"
 #include "common/logging.h"
@@ -241,12 +240,6 @@ ChaosScheduler::ChaosScheduler(Cluster& cluster, ChaosScheduleOptions options)
     cluster_.transport().setChaos(wired);
     transportChaosInstalled_ = true;
   }
-  cluster_.transport().bind("chaos-scheduler", [this](const std::string& req) {
-    if (req.empty() || static_cast<std::uint8_t>(req[0]) != rpc::kStats) {
-      throw CorruptData("unsupported rpc");
-    }
-    return handleStatsRpc(obs_, req.substr(1));
-  });
   DPSS_LOG(Info) << "chaos scheduler armed: seed " << options_.seed << ", "
                  << schedule_.size() << " events over " << options_.horizonMs
                  << "ms";
@@ -254,7 +247,6 @@ ChaosScheduler::ChaosScheduler(Cluster& cluster, ChaosScheduleOptions options)
 
 ChaosScheduler::~ChaosScheduler() {
   if (transportChaosInstalled_) cluster_.transport().clearChaos();
-  cluster_.transport().unbind("chaos-scheduler");
 }
 
 std::size_t ChaosScheduler::pump() {

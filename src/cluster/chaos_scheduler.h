@@ -28,6 +28,9 @@
 // backoff. heal() ends the story: it restarts whatever is still down and
 // cancels outstanding storage/transport faults so the harness can assert
 // the cluster converges back to full replication with checksums verified.
+//
+// It drives the in-process Cluster harness; no node role runs it.
+// dpss-arch: test-harness
 #pragma once
 
 #include <cstdint>
@@ -189,8 +192,7 @@ class ChaosScheduler {
   std::vector<AppliedChaosEvent> log() const;
 
   /// chaos.* counters (events applied/skipped, crashes, restarts, storage
-  /// faults, corruptions, registry expiries). Also served over rpc::kStats
-  /// under the node name "chaos-scheduler".
+  /// faults, corruptions, registry expiries).
   obs::MetricsRegistry& metrics() { return obs_; }
 
  private:

@@ -1,5 +1,7 @@
 #include "cluster/cluster.h"
 
+#include <set>
+
 #include "common/error.h"
 #include "storage/segment_codec.h"
 
@@ -111,8 +113,61 @@ void Cluster::converge(int maxCycles) {
 }
 
 ClusterStats Cluster::collectStats(std::uint64_t traceIdFilter) {
-  return coordinator_->collectClusterStats(transport_, {broker_->name()},
-                                           traceIdFilter);
+  ClusterStats cluster;
+  auto add = [&](const std::string& name, obs::MetricsRegistry& registry) {
+    NodeStats& stats = cluster.nodes[name];
+    stats.metrics = registry.snapshot();
+    stats.spans = traceIdFilter != 0
+                      ? registry.spans().forTrace(traceIdFilter)
+                      : registry.spans().all();
+  };
+  if (broker_->running()) add(broker_->name(), broker_->metrics());
+  for (auto& h : historicals_) {
+    if (h->running()) add(h->name(), h->metrics());
+  }
+  for (RealtimeNode* r : realtimes_) {
+    if (r->running()) add(r->name(), r->metrics());
+  }
+  return cluster;
+}
+
+std::uint64_t ClusterStats::counterTotal(std::string_view name) const {
+  std::uint64_t total = 0;
+  for (const auto& [node, stats] : nodes) {
+    (void)node;
+    total += stats.metrics.counterValue(name);
+  }
+  return total;
+}
+
+std::uint64_t ClusterStats::histogramCountTotal(std::string_view name) const {
+  std::uint64_t total = 0;
+  for (const auto& [node, stats] : nodes) {
+    (void)node;
+    total += stats.metrics.histogramCount(name);
+  }
+  return total;
+}
+
+std::vector<obs::Span> ClusterStats::allSpans() const {
+  std::vector<obs::Span> out;
+  for (const auto& [node, stats] : nodes) {
+    (void)node;
+    out.insert(out.end(), stats.spans.begin(), stats.spans.end());
+  }
+  return out;
+}
+
+std::vector<std::string> ClusterStats::nodesInTrace(
+    std::uint64_t traceId) const {
+  std::set<std::string> seen;
+  for (const auto& [node, stats] : nodes) {
+    (void)node;
+    for (const auto& s : stats.spans) {
+      if (s.traceId == traceId) seen.insert(s.node);
+    }
+  }
+  return {seen.begin(), seen.end()};
 }
 
 }  // namespace dpss::cluster

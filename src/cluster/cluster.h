@@ -4,8 +4,11 @@
 // the "test cluster" of §IV in miniature.
 #pragma once
 
+#include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cluster/broker_node.h"
@@ -18,6 +21,7 @@
 #include "cluster/subscription_broker.h"
 #include "cluster/transport.h"
 #include "common/clock.h"
+#include "obs/metrics.h"
 #include "storage/deep_storage.h"
 #include "storage/segment.h"
 
@@ -35,6 +39,27 @@ struct ClusterOptions {
   std::size_t pssPackFactor = 1;
   /// Rebalancer/throttle knobs forwarded to the coordinator.
   CoordinatorOptions coordinator{};
+};
+
+/// One node's observability snapshot: its registry's metrics plus its
+/// recorded spans.
+struct NodeStats {
+  obs::MetricsSnapshot metrics;
+  std::vector<obs::Span> spans;
+};
+
+/// The assembled cluster view: node name -> that node's stats.
+struct ClusterStats {
+  std::map<std::string, NodeStats> nodes;
+
+  /// Sum of a counter across all nodes.
+  std::uint64_t counterTotal(std::string_view name) const;
+  /// Sum of a histogram's observation count across all nodes.
+  std::uint64_t histogramCountTotal(std::string_view name) const;
+  /// All spans across nodes (each span carries its origin node).
+  std::vector<obs::Span> allSpans() const;
+  /// Distinct nodes that recorded at least one span of `traceId`.
+  std::vector<std::string> nodesInTrace(std::uint64_t traceId) const;
 };
 
 class Cluster {
@@ -91,9 +116,9 @@ class Cluster {
   /// Runs coordinator cycles until no new work is issued (stable state).
   void converge(int maxCycles = 10);
 
-  /// Cluster-wide metrics + span snapshot, assembled by the coordinator
-  /// over rpc::kStats (the broker never announces, so it is polled
-  /// explicitly). Pass a trace id to restrict spans to one query.
+  /// Cluster-wide metrics + span snapshot, read straight from the
+  /// registry of every running node (broker, historicals, realtimes).
+  /// Pass a trace id to restrict spans to one query.
   ClusterStats collectStats(std::uint64_t traceIdFilter = 0);
 
  private:

@@ -34,6 +34,8 @@ const obs::MetricId kNodesDraining =
     obs::internGauge("coordinator.nodes.draining");
 const obs::MetricId kLeaderGauge = obs::internGauge("coordinator.leader");
 const obs::MetricId kEpochGauge = obs::internGauge("coordinator.epoch");
+const obs::MetricId kSubstrateUnavailable =
+    obs::internCounter("coordinator.substrate_unavailable");
 
 }  // namespace
 
@@ -55,18 +57,24 @@ CoordinatorStats CoordinatorNode::runOnce() {
   CoordinatorStats stats;
   stats.leader = elector_.tick();
   stats.epoch = elector_.epoch();
-  if (stats.leader) {
-    if (session_ == nullptr || session_->expired()) {
-      session_ = registry_.connect(name_);
-    }
-    try {
+  try {
+    if (stats.leader) {
+      if (session_ == nullptr || session_->expired()) {
+        session_ = registry_.connect(name_);
+      }
       reconcile(stats);
-    } catch (const Fenced& e) {
-      // Deposed mid-cycle: a successor minted a larger epoch. Stop writing
-      // immediately; the next tick() observes the new leader.
-      ++stats.fencedWrites;
-      DPSS_LOG(Warn) << name_ << " deposed mid-cycle: " << e.what();
     }
+  } catch (const Fenced& e) {
+    // Deposed mid-cycle: a successor minted a larger epoch. Stop writing
+    // immediately; the next tick() observes the new leader.
+    ++stats.fencedWrites;
+    DPSS_LOG(Warn) << name_ << " deposed mid-cycle: " << e.what();
+  } catch (const Unavailable& e) {
+    // The substrate went away (e.g. its process is shutting down): this
+    // tick counts as lost leadership. The next tick re-runs the election.
+    stats.leader = false;
+    obs::currentRegistry().counter(kSubstrateUnavailable).inc();
+    DPSS_LOG(Warn) << name_ << " substrate unavailable: " << e.what();
   }
 
   totalLoads_.fetch_add(stats.loadsIssued, std::memory_order_relaxed);
@@ -363,13 +371,6 @@ void CoordinatorNode::requestDrain(const std::string& node) {
 CoordinatorStats CoordinatorNode::lastStats() const {
   MutexLock lock(statsMu_);
   return lastStats_;
-}
-
-ClusterStats CoordinatorNode::collectClusterStats(
-    TransportIface& transport, const std::vector<std::string>& extraNodes,
-    std::uint64_t traceIdFilter) {
-  return dpss::cluster::collectClusterStats(registry_, transport, extraNodes,
-                                            traceIdFilter);
 }
 
 }  // namespace dpss::cluster

@@ -23,8 +23,6 @@
 #include "cluster/leader_election.h"
 #include "cluster/metastore.h"
 #include "cluster/registry.h"
-#include "cluster/stats.h"
-#include "cluster/transport.h"
 #include "common/clock.h"
 #include "common/thread_annotations.h"
 
@@ -69,13 +67,6 @@ class CoordinatorNode {
   /// issues nothing. Deterministic and idempotent: a second run with no
   /// state change issues nothing.
   CoordinatorStats runOnce();
-
-  /// Assembles the cluster-wide observability snapshot by polling every
-  /// announced node (plus `extraNodes`, e.g. the broker, which answers
-  /// queries but never announces) over rpc::kStats.
-  ClusterStats collectClusterStats(
-      TransportIface& transport, const std::vector<std::string>& extraNodes = {},
-      std::uint64_t traceIdFilter = 0);
 
   /// Requests a graceful drain of `node`: subsequent cycles re-replicate
   /// its segments elsewhere, drop its copies only once replacements are

@@ -6,7 +6,6 @@
 #include <string_view>
 
 #include "cluster/names.h"
-#include "cluster/stats.h"
 #include "common/bytes.h"
 #include "common/error.h"
 #include "common/logging.h"
@@ -426,10 +425,6 @@ std::string HistoricalNode::handleRpc(const std::string& request) {
   // Everything node-side records into this node's registry; the trace
   // context was installed by the transport before we got here.
   obs::ScopedRegistry obsScope(obs_);
-
-  if (tag == rpc::kStats) {
-    return handleStatsRpc(obs_, body);
-  }
 
   if (tag == rpc::kQuerySegment) {
     obs::SpanGuard rpcSpan("historical.query_segment");

@@ -127,7 +127,7 @@ class HistoricalNode {
   void loadDocuments(const std::string& docSource, std::uint64_t baseIndex,
                      std::vector<std::string> documents);
 
-  /// This node's metrics + span store (also served over rpc::kStats).
+  /// This node's metrics + span store.
   obs::MetricsRegistry& metrics() { return obs_; }
 
   /// Whether the node still holds a live registry session (/healthz).

@@ -5,7 +5,6 @@
 #include <cstdio>
 
 #include "cluster/names.h"
-#include "cluster/stats.h"
 #include "common/bytes.h"
 #include "common/error.h"
 #include "common/logging.h"
@@ -494,7 +493,6 @@ std::string RealtimeNode::handleRpc(const std::string& request) {
   if (request.empty()) throw CorruptData("empty rpc");
   const auto tag = static_cast<std::uint8_t>(request[0]);
   obs::ScopedRegistry obsScope(obs_);
-  if (tag == rpc::kStats) return handleStatsRpc(obs_, request.substr(1));
   if (tag == rpc::kSubscribe || tag == rpc::kUnsubscribe ||
       tag == rpc::kSnapshot) {
     return subsHost_.handleRpc(request);

@@ -114,7 +114,7 @@ class RealtimeNode {
   std::size_t pendingHandoffs() const;
   std::vector<storage::SegmentId> announcedSegments() const;
 
-  /// This node's metrics + span store (also served over rpc::kStats).
+  /// This node's metrics + span store.
   obs::MetricsRegistry& metrics() { return obs_; }
 
   /// The node's standing-subscription host (attach/fetch also arrive over

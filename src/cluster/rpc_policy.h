@@ -10,8 +10,8 @@
 //
 // Every attempt/retry/deadline event is counted into the *current*
 // obs::MetricsRegistry — on the broker's scatter threads that is the
-// broker's registry, so the counters travel over rpc::kStats and show up
-// in Cluster::collectStats() like any other node metric.
+// broker's registry, so the counters show up on the admin plane and in
+// Cluster::collectStats() like any other node metric.
 #pragma once
 
 #include <cstddef>

@@ -12,15 +12,13 @@ const obs::MetricId kShipFailures =
     obs::internCounter("obs.spans.ship_failures");
 const obs::MetricId kShipDropped = obs::internCounter("obs.spans.ship_dropped");
 
-std::string encodeSpans(const std::vector<obs::Span>& spans) {
-  ByteWriter w;
+void encodeSpans(ByteWriter& w, const std::vector<obs::Span>& spans) {
   w.varint(spans.size());
   for (const auto& s : spans) s.serialize(w);
-  return w.take();
 }
 
 std::vector<obs::Span> decodeSpans(ByteReader& r) {
-  const std::uint64_t n = r.varint();
+  const std::uint64_t n = r.count(obs::Span::kMinWireBytes);
   std::vector<obs::Span> spans;
   spans.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
@@ -36,8 +34,7 @@ std::string SpanBatch::encode() const {
   w.u8(rpc::kSpans);
   w.u8(spans_op::kShip);
   w.str(fromNode);
-  w.varint(spans.size());
-  for (const auto& s : spans) s.serialize(w);
+  encodeSpans(w, spans);
   return w.take();
 }
 
@@ -72,7 +69,9 @@ std::string handleSpansRpc(obs::TraceCollector& collector,
     }
     case spans_op::kFetch: {
       const std::uint64_t traceId = r.u64();
-      return encodeSpans(collector.spansFor(traceId));
+      ByteWriter w;
+      encodeSpans(w, collector.spansFor(traceId));
+      return w.take();
     }
     default:
       throw CorruptData("span rpc: unknown sub-op " + std::to_string(op));

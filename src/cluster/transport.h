@@ -184,7 +184,7 @@ namespace rpc {
 constexpr std::uint8_t kQuerySegment = 1;  // scan one served segment
 constexpr std::uint8_t kPssInfo = 2;       // describe a document slice
 constexpr std::uint8_t kPssSearch = 3;     // run encrypted query on a slice
-constexpr std::uint8_t kStats = 4;         // metrics + span snapshot
+// 4 is retired; never reuse it (an older peer may still send it).
 constexpr std::uint8_t kBrokerQuery = 5;   // broker: full distributed query
 constexpr std::uint8_t kBrokerSearch = 6;  // broker: distributed PSS round
 constexpr std::uint8_t kSubstrate = 7;     // registry/metastore/storage ops

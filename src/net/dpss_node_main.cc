@@ -49,7 +49,6 @@
 #include "cluster/registry.h"
 #include "cluster/rpc_policy.h"
 #include "cluster/span_ship.h"
-#include "cluster/stats.h"
 #include "cluster/subscription_broker.h"
 #include "common/clock.h"
 #include "common/error.h"
@@ -452,23 +451,11 @@ int runCoordinator(const Flags& f, dpss::Clock& clock,
   copts.maxPendingLoadsPerNode = f.maxPendingLoads;
   dpss::cluster::CoordinatorNode coordinator(f.name, *registry, *metaStore,
                                              clock, copts);
-  // Stats collection dials every announced node; runtime-joined ones are
-  // only dialable through their announced endpoints.
-  installResolver(transport, *registry);
   // The coordinator is the cluster's trace sink: workers ship their span
   // batches here (rpc::kSpans) and /tracez serves the assembled trees.
   dpss::obs::TraceCollector collector;
   transport.bind(f.name, [&collector](const std::string& req) {
-    if (req.empty()) throw dpss::CorruptData("empty coordinator rpc");
-    switch (static_cast<std::uint8_t>(req[0])) {
-      case dpss::cluster::rpc::kStats:
-        return dpss::cluster::handleStatsRpc(dpss::obs::globalRegistry(),
-                                             req.substr(1));
-      case dpss::cluster::rpc::kSpans:
-        return dpss::cluster::handleSpansRpc(collector, req);
-      default:
-        throw dpss::CorruptData("unknown coordinator rpc tag");
-    }
+    return dpss::cluster::handleSpansRpc(collector, req);
   });
   dpss::net::bindControl(transport, f.name, "coordinator", {});
   const ServingScope serving(transport, f.name,
@@ -503,7 +490,6 @@ int runCoordinator(const Flags& f, dpss::Clock& clock,
     if (!spans.empty()) collector.add(std::move(spans));
   });
   if (remoteRegistry) remoteRegistry->stop();
-  transport.setPeerResolver(nullptr);  // it captures *registry
   if (admin) admin->stop();
   return 0;
 }

@@ -16,7 +16,8 @@ obs::MetricId rpcHistogram(std::uint8_t opTag) {
       obs::internHistogram("net.rpc.call_ns", {{"op", "query_segment"}}),
       obs::internHistogram("net.rpc.call_ns", {{"op", "pss_info"}}),
       obs::internHistogram("net.rpc.call_ns", {{"op", "pss_search"}}),
-      obs::internHistogram("net.rpc.call_ns", {{"op", "stats"}}),
+      // Tag 4 is retired; its slot aliases "other".
+      obs::internHistogram("net.rpc.call_ns", {{"op", "other"}}),
       obs::internHistogram("net.rpc.call_ns", {{"op", "broker_query"}}),
       obs::internHistogram("net.rpc.call_ns", {{"op", "broker_search"}}),
       obs::internHistogram("net.rpc.call_ns", {{"op", "substrate"}}),

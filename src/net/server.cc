@@ -35,7 +35,8 @@ obs::MetricId handleHistogram(std::uint8_t opTag) {
       obs::internHistogram("net.server.handle_ns", {{"op", "query_segment"}}),
       obs::internHistogram("net.server.handle_ns", {{"op", "pss_info"}}),
       obs::internHistogram("net.server.handle_ns", {{"op", "pss_search"}}),
-      obs::internHistogram("net.server.handle_ns", {{"op", "stats"}}),
+      // Tag 4 is retired; its slot aliases "other".
+      obs::internHistogram("net.server.handle_ns", {{"op", "other"}}),
       obs::internHistogram("net.server.handle_ns", {{"op", "broker_query"}}),
       obs::internHistogram("net.server.handle_ns", {{"op", "broker_search"}}),
       obs::internHistogram("net.server.handle_ns", {{"op", "substrate"}}),

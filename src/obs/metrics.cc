@@ -139,87 +139,6 @@ HistogramSnapshot Histogram::snapshot() const {
   return s;
 }
 
-void MetricSample::serialize(ByteWriter& w) const {
-  w.u8(static_cast<std::uint8_t>(kind));
-  w.str(name);
-  w.varint(labels.size());
-  for (const auto& [k, v] : labels) {
-    w.str(k);
-    w.str(v);
-  }
-  switch (kind) {
-    case MetricKind::kCounter:
-      w.u64(counterValue);
-      break;
-    case MetricKind::kGauge:
-      w.i64(gaugeValue);
-      break;
-    case MetricKind::kHistogram: {
-      w.u64(histogram.count);
-      w.u64(histogram.sum);
-      std::uint64_t nonzero = 0;
-      for (const auto b : histogram.buckets) nonzero += b != 0 ? 1 : 0;
-      w.varint(nonzero);
-      for (std::size_t i = 0; i < histogram.buckets.size(); ++i) {
-        if (histogram.buckets[i] == 0) continue;
-        w.varint(i);
-        w.varint(histogram.buckets[i]);
-      }
-      break;
-    }
-  }
-}
-
-MetricSample MetricSample::deserialize(ByteReader& r) {
-  MetricSample s;
-  s.kind = static_cast<MetricKind>(r.u8());
-  s.name = r.str();
-  const std::uint64_t nLabels = r.varint();
-  s.labels.reserve(nLabels);
-  for (std::uint64_t i = 0; i < nLabels; ++i) {
-    std::string k = r.str();
-    std::string v = r.str();
-    s.labels.emplace_back(std::move(k), std::move(v));
-  }
-  switch (s.kind) {
-    case MetricKind::kCounter:
-      s.counterValue = r.u64();
-      break;
-    case MetricKind::kGauge:
-      s.gaugeValue = r.i64();
-      break;
-    case MetricKind::kHistogram: {
-      s.histogram.count = r.u64();
-      s.histogram.sum = r.u64();
-      const std::uint64_t nonzero = r.varint();
-      for (std::uint64_t i = 0; i < nonzero; ++i) {
-        const std::uint64_t idx = r.varint();
-        const std::uint64_t cnt = r.varint();
-        if (idx < s.histogram.buckets.size()) s.histogram.buckets[idx] = cnt;
-      }
-      break;
-    }
-  }
-  return s;
-}
-
-void MetricsSnapshot::serialize(ByteWriter& w) const {
-  w.str(node);
-  w.varint(samples.size());
-  for (const auto& s : samples) s.serialize(w);
-}
-
-MetricsSnapshot MetricsSnapshot::deserialize(ByteReader& r) {
-  MetricsSnapshot snap;
-  snap.node = r.str();
-  const std::uint64_t n = r.varint();
-  snap.samples.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    snap.samples.push_back(MetricSample::deserialize(r));
-  }
-  return snap;
-}
-
 const MetricSample* MetricsSnapshot::find(std::string_view name) const {
   for (const auto& s : samples) {
     if (s.name == name) return &s;

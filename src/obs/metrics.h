@@ -20,10 +20,9 @@
 //    bit_width == i), giving ~2x-relative-error quantiles over the full
 //    ns..minutes range in 64 fixed slots.
 //
-// Exposition: snapshot() produces a serializable MetricsSnapshot; the
-// stats RPC (cluster/stats.h) ships it across the transport, and
-// renderText()/renderJson() emit Prometheus text / JSON for benches and
-// operators.
+// Exposition: snapshot() produces a MetricsSnapshot, which
+// renderText()/renderJson() emit as Prometheus text / JSON for benches,
+// tests and the admin plane (net/admin_plane.h).
 #pragma once
 
 #include <array>
@@ -31,10 +30,10 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
-#include "common/bytes.h"
 #include "common/thread_annotations.h"
 #include "obs/query_log.h"
 #include "obs/trace.h"
@@ -134,18 +133,12 @@ struct MetricSample {
   std::uint64_t counterValue = 0;
   std::int64_t gaugeValue = 0;
   HistogramSnapshot histogram;
-
-  void serialize(ByteWriter& w) const;
-  static MetricSample deserialize(ByteReader& r);
 };
 
-/// Point-in-time export of one registry, self-describing and wire-ready.
+/// Point-in-time export of one registry, self-describing.
 struct MetricsSnapshot {
   std::string node;  // registry owner ("" for the process-global one)
   std::vector<MetricSample> samples;
-
-  void serialize(ByteWriter& w) const;
-  static MetricsSnapshot deserialize(ByteReader& r);
 
   /// First sample with this name (any labels), or nullptr.
   const MetricSample* find(std::string_view name) const;

@@ -74,7 +74,7 @@ Span Span::deserialize(ByteReader& r) {
   s.node = r.str();
   s.startNs = r.u64();
   s.durationNs = r.u64();
-  const std::uint64_t n = r.varint();
+  const std::uint64_t n = r.count(2);  // two empty strings at least
   s.tags.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     std::string k = r.str();

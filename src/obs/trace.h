@@ -3,8 +3,9 @@
 // One distributed query carries one trace id from the broker through the
 // transport onto every historical / realtime node it fans out to; each
 // hop records spans (scatter, per-segment scan, merge, cache probe) into
-// its own node's SpanStore. The stats RPC collects per-node spans and the
-// coordinator (or a test) reassembles the span tree by parent ids.
+// its own node's SpanStore. Worker processes ship their spans to the
+// coordinator (rpc::kSpans, cluster/span_ship.h), which reassembles the
+// span tree by parent ids; in-process tests read the stores directly.
 //
 // Propagation is thread-local: SpanGuard pushes itself as the current
 // context, Transport::call serializes the current context into the wire
@@ -13,6 +14,7 @@
 // like trace headers on real HTTP hops.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -45,6 +47,9 @@ struct Span {
   std::uint64_t startNs = 0;
   std::uint64_t durationNs = 0;
   std::vector<std::pair<std::string, std::string>> tags;
+
+  /// Smallest encoding: five u64s, two empty strings, no tags.
+  static constexpr std::size_t kMinWireBytes = 5 * 8 + 3;
 
   void serialize(ByteWriter& w) const;
   static Span deserialize(ByteReader& r);

@@ -30,7 +30,7 @@ class SegmentBuilder {
 };
 
 /// Merges several segments with identical schemas into one (row-sorted,
-/// re-indexed). Used for the real-time handoff merge and for compaction.
+/// re-indexed). Used for the real-time handoff merge.
 SegmentPtr mergeSegments(const std::vector<SegmentPtr>& parts, SegmentId id);
 
 }  // namespace dpss::storage

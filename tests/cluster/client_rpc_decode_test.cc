@@ -1,12 +1,14 @@
-// Forged item counts on the client-facing RPCs: a sender that declares
-// 2^62 envelopes, words, rows, values, segments, snapshots or ids must
-// get a typed CorruptData before anything is sized by the count.
+// Forged item counts on the client-facing RPCs and on span shipping: a
+// sender that declares 2^62 envelopes, words, rows, values, segments,
+// snapshots, ids or spans must get a typed CorruptData before anything is
+// sized by the count.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
 
 #include "cluster/broker_rpc.h"
+#include "cluster/span_ship.h"
 #include "cluster/subscription_rpc.h"
 #include "cluster/transport.h"
 #include "common/bytes.h"
@@ -87,6 +89,18 @@ TEST(ClientRpcDecode, ForgedSubscriptionIdCountIsCorruptData) {
     return w.take();
   });
   EXPECT_THROW(listSubscriptions(transport, "rt", {}), CorruptData);
+}
+
+TEST(ClientRpcDecode, ForgedSpanShipCountIsCorruptData) {
+  ByteWriter w;
+  w.u8(rpc::kSpans);
+  w.u8(spans_op::kShip);
+  w.str("hist-0");
+  w.varint(kForged);
+  obs::Span{}.serialize(w);
+  obs::TraceCollector collector;
+  EXPECT_THROW(handleSpansRpc(collector, w.take()), CorruptData);
+  EXPECT_TRUE(collector.spansFor(0).empty());
 }
 
 }  // namespace

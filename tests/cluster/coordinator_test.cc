@@ -1,14 +1,16 @@
 // Coordinator invariants: idempotence (expected state reached => no new
 // work), replication capping, retention boundaries, graceful drain
-// (load-before-drop), the throttled rebalancer, and leader failover with
-// epoch fencing.
+// (load-before-drop), the throttled rebalancer, leader failover with
+// epoch fencing, and surviving a substrate outage.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <vector>
 
 #include "cluster/cluster.h"
 #include "cluster/names.h"
 #include "common/error.h"
+#include "obs/metrics.h"
 #include "storage/adtech.h"
 #include "storage/segment_codec.h"
 
@@ -406,6 +408,64 @@ TEST(Coordinator, StandbyTakesOverAfterLeaderDeposed) {
                                       1),
       Fenced);
   EXPECT_FALSE(cluster.registry().exists(stale));
+}
+
+// --- substrate outage ------------------------------------------------------
+
+// A registry whose listings fail while `down` is set: the in-process
+// stand-in for a remote substrate whose process has gone away.
+class FlakyRegistry : public Registry {
+ public:
+  std::vector<std::string> children(const std::string& path) const override {
+    if (down) throw Unavailable("substrate unreachable");
+    return Registry::children(path);
+  }
+  std::atomic<bool> down{false};
+};
+
+TEST(Coordinator, SubstrateOutageIsALostLeadershipTick) {
+  ManualClock clock(1'400'000'000'000);
+  FlakyRegistry registry;
+  MetaStore metaStore;
+  storage::MemoryDeepStorage deepStorage;
+  Transport transport(clock);
+  HistoricalNode node("historical-0", registry, deepStorage, transport);
+  node.start();
+  AdTechConfig config;
+  config.rowsPerSegment = 10;
+  const auto segment = generateAdTechSegments(config, "ads", 1)[0];
+  SegmentRecord record;
+  record.id = segment->id();
+  record.deepStorageKey = segment->id().toString();
+  record.sizeBytes = segment->memoryFootprint();
+  deepStorage.put(record.deepStorageKey, storage::encodeSegment(*segment));
+  metaStore.upsertSegment(record);
+
+  obs::MetricsRegistry metrics("coordinator");
+  obs::ScopedRegistry scope(metrics);
+  CoordinatorNode coordinator("coordinator", registry, metaStore, clock);
+
+  // The election succeeds, then the cycle's first listing fails: the
+  // tick returns as a non-leader instead of throwing out of the loop.
+  registry.down = true;
+  const auto lost = coordinator.runOnce();
+  EXPECT_FALSE(lost.leader);
+  EXPECT_EQ(lost.loadsIssued, 0u);
+  const auto snap = metrics.snapshot();
+  EXPECT_EQ(snap.counterValue("coordinator.substrate_unavailable"), 1u);
+  ASSERT_NE(snap.find("coordinator.leader"), nullptr);
+  EXPECT_EQ(snap.find("coordinator.leader")->gaugeValue, 0);
+
+  // Once the substrate is back, the next tick leads and assigns.
+  registry.down = false;
+  const auto recovered = coordinator.runOnce();
+  EXPECT_TRUE(recovered.leader);
+  EXPECT_EQ(recovered.loadsIssued, 1u);
+  EXPECT_EQ(node.servedSegments().size(), 1u);
+  EXPECT_EQ(metrics.snapshot().counterValue(
+                "coordinator.substrate_unavailable"),
+            1u);
+  node.stop();
 }
 
 }  // namespace

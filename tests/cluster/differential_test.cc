@@ -1,5 +1,5 @@
 // Differential fuzzing of the full distributed pipeline: random events ->
-// batch indexer -> segment codec -> deep storage -> coordinator ->
+// segment builder -> segment codec -> deep storage -> coordinator ->
 // historical nodes -> broker scatter/merge, compared against a direct
 // in-memory aggregation of the same events. Any divergence anywhere in
 // the stack (codec, bitmap, dictionary, engine, merge, routing) fails.
@@ -10,7 +10,7 @@
 
 #include "cluster/cluster.h"
 #include "common/rng.h"
-#include "storage/batch_indexer.h"
+#include "storage/segment_builder.h"
 
 namespace dpss::cluster {
 namespace {
@@ -44,6 +44,31 @@ std::vector<InputRow> randomRows(Rng& rng, std::size_t count) {
   return rows;
 }
 
+// One segment per (hour, partition). An hour's rows are dealt round-robin
+// over the partitions, so the broker merges several partitions of every
+// queried interval.
+constexpr std::size_t kPartitionsPerHour = 3;
+
+std::vector<storage::SegmentPtr> buildSegments(
+    const std::vector<InputRow>& rows) {
+  std::map<std::pair<TimeMs, std::size_t>, storage::SegmentBuilder> builders;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const TimeMs hour = rows[i].timestamp - rows[i].timestamp % kHour;
+    builders.try_emplace({hour, i % kPartitionsPerHour}, fuzzSchema())
+        .first->second.add(rows[i]);
+  }
+  std::vector<storage::SegmentPtr> segments;
+  for (auto& [key, builder] : builders) {
+    storage::SegmentId id;
+    id.dataSource = "fuzz";
+    id.interval = Interval(key.first, key.first + kHour);
+    id.version = "v1";
+    id.partition = static_cast<std::uint32_t>(key.second);
+    segments.push_back(builder.build(id));
+  }
+  return segments;
+}
+
 class Differential : public ::testing::TestWithParam<int> {};
 
 TEST_P(Differential, ClusterAggregationMatchesDirectComputation) {
@@ -53,10 +78,7 @@ TEST_P(Differential, ClusterAggregationMatchesDirectComputation) {
   // Distributed path.
   ManualClock clock(10 * kHour);
   Cluster cluster(clock, {.historicalNodes = 1 + GetParam() % 3});
-  storage::BatchIndexerOptions bOptions;
-  bOptions.targetRowsPerSegment = 64;  // force secondary partitioning
-  cluster.publishSegments(
-      storage::buildBatch(fuzzSchema(), "fuzz", rows, bOptions));
+  cluster.publishSegments(buildSegments(rows));
 
   // Random query: random interval, random group-by, random filter.
   query::QuerySpec spec;

@@ -300,7 +300,14 @@ TEST_F(MultiprocessClusterTest, FiveProcessesAnswerQueriesAndPss) {
 
   // --- kill one historical mid-run: typed partial result, no hang -----
   // Kill the node serving fewer segments (a strict minority of 5), so
-  // the broker degrades to a partial answer instead of throwing.
+  // the broker degrades to a partial answer instead of throwing. The
+  // counts are re-read right before the kill: the rebalancer may have
+  // moved segments since the publish phase.
+  ASSERT_TRUE(eventually([&] {
+    servedA = controlServedSegments(driver, "hist-a").size();
+    servedB = controlServedSegments(driver, "hist-b").size();
+    return servedA + servedB == 5;
+  })) << "served counts never settled: " << servedA << " + " << servedB;
   const std::string victim = servedA < servedB ? "hist-a" : "hist-b";
   const std::string survivor = servedA < servedB ? "hist-b" : "hist-a";
   const std::size_t lostSegments = std::min(servedA, servedB);

@@ -1,5 +1,5 @@
 // Metrics registry: interning, exact concurrent counting, log2-histogram
-// quantiles, snapshot wire round trip, thread-local registry routing and
+// quantiles, snapshot contents, thread-local registry routing and
 // the Prometheus / JSON expositions.
 #include "obs/metrics.h"
 
@@ -8,8 +8,6 @@
 #include <regex>
 #include <thread>
 #include <vector>
-
-#include "common/bytes.h"
 
 namespace dpss::obs {
 namespace {
@@ -113,26 +111,6 @@ TEST(Histogram, ConcurrentObservationsCountExactly) {
   std::uint64_t bucketSum = 0;
   for (const auto b : s.buckets) bucketSum += b;
   EXPECT_EQ(bucketSum, s.count);
-}
-
-TEST(Snapshot, WireRoundTrip) {
-  MetricsRegistry reg("node-7");
-  reg.counter(internCounter("obs_test.snap.counter")).inc(17);
-  reg.gauge(internGauge("obs_test.snap.gauge")).set(-3);
-  reg.histogram(internHistogram("obs_test.snap.hist")).observe(999);
-  const MetricsSnapshot snap = reg.snapshot();
-
-  ByteWriter w;
-  snap.serialize(w);
-  ByteReader r(w.data());
-  const MetricsSnapshot back = MetricsSnapshot::deserialize(r);
-
-  EXPECT_EQ(back.node, "node-7");
-  EXPECT_EQ(back.counterValue("obs_test.snap.counter"), 17u);
-  ASSERT_NE(back.find("obs_test.snap.gauge"), nullptr);
-  EXPECT_EQ(back.find("obs_test.snap.gauge")->gaugeValue, -3);
-  EXPECT_EQ(back.histogramCount("obs_test.snap.hist"), 1u);
-  EXPECT_EQ(back.find("obs_test.snap.hist")->histogram.sum, 999u);
 }
 
 TEST(Snapshot, OnlyTouchedMetricsAppear) {

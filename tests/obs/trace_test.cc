@@ -12,6 +12,7 @@
 #include "cluster/transport.h"
 #include "common/bytes.h"
 #include "common/clock.h"
+#include "common/error.h"
 #include "obs/metrics.h"
 
 namespace dpss::obs {
@@ -49,6 +50,26 @@ TEST(Span, WireRoundTrip) {
   EXPECT_EQ(back.node, "hist-1");
   ASSERT_EQ(back.tags.size(), 1u);
   EXPECT_EQ(back.tags[0].second, "ads/0/v1");
+}
+
+TEST(Span, MinWireBytesIsTheEmptyEncoding) {
+  ByteWriter w;
+  Span{}.serialize(w);
+  EXPECT_EQ(w.data().size(), Span::kMinWireBytes);
+}
+
+TEST(Span, ForgedTagCountIsCorruptData) {
+  ByteWriter w;
+  for (int i = 0; i < 3; ++i) w.u64(1);  // trace, span, parent ids
+  w.str("name");
+  w.str("node");
+  w.u64(0);  // start
+  w.u64(0);  // duration
+  w.varint(std::uint64_t{1} << 62);
+  w.str("k");
+  w.str("v");
+  ByteReader r(w.data());
+  EXPECT_THROW(Span::deserialize(r), CorruptData);
 }
 
 TEST(SpanGuard, StartsATraceAndRecordsOnDestruction) {
