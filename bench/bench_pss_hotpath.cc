@@ -2,8 +2,7 @@
 // encryption (g = n+1 shortcut vs generic double exponentiation), the
 // client's CRT encryption vs public-key encryption, CRT and batched
 // decryption, the fold's E(c)^f on a full-width block vs a short
-// document's block, and whole-session document throughput (packed and
-// unpacked).
+// document's block, and whole-session document throughput.
 //
 // Prints a JSON document; BENCH_pss.json at the repo root is seeded from
 // this output. scripts/check_bench.py pss re-runs `--quick` and compares
@@ -128,15 +127,14 @@ int main(int argc, char** argv) {
         fullUs / shortUs);
   }
 
-  // --- whole session: documents/s, unpacked vs packed ------------------
+  // --- whole session: documents/s ------------------------------------
   {
-    // Quick still needs ⌈docs/3⌉ groups > l_F = 12 for the packed leg.
+    // Both sizes keep the stream longer than l_F = 12 segments.
     const int docs = quick ? 48 : 96;
     const pss::Dictionary dict(
         {"alpha", "breach", "cipher", "delta", "echo", "fox"});
     // 96 docs at full scale put 8 matches in the stream; l_F leaves
-    // headroom for those plus Bloom false positives, and pack=3 keeps
-    // ⌈docs/3⌉ = 32 groups > l_F.
+    // headroom for those plus Bloom false positives.
     const pss::SearchParams params{
         .bufferLength = 12, .indexBufferLength = 192, .bloomHashes = 3};
     std::vector<std::string> stream;
@@ -144,20 +142,17 @@ int main(int argc, char** argv) {
       stream.push_back((i % 12 == 5 ? "breach in document " : "document ") +
                        std::to_string(i));
     }
-    std::printf("  \"session\": {\"documents\": %d", docs);
-    for (const std::size_t pack : {std::size_t{1}, std::size_t{3}}) {
-      pss::PrivateSearchClient client(dict, params, kKeyBits, 999);
-      Rng brokerRng(777);
-      const auto t0 = SteadyClock::now();
-      const auto results = pss::runPrivateSearchPacked(
-          client, {"breach"}, stream, pack, /*blocksPerSegment=*/0,
-          brokerRng);
-      const double secs =
-          std::chrono::duration<double>(SteadyClock::now() - t0).count();
-      std::printf(", \"docs_per_s_pack%zu\": %.1f, \"matches_pack%zu\": %zu",
-                  pack, docs / secs, pack, results.size());
-    }
-    std::printf("}\n}\n");
+    pss::PrivateSearchClient client(dict, params, kKeyBits, 999);
+    Rng brokerRng(777);
+    const auto t0 = SteadyClock::now();
+    const auto results = pss::runPrivateSearch(
+        client, {"breach"}, stream, /*blocksPerSegment=*/0, brokerRng);
+    const double secs =
+        std::chrono::duration<double>(SteadyClock::now() - t0).count();
+    std::printf(
+        "  \"session\": {\"documents\": %d, \"docs_per_s\": %.1f, "
+        "\"matches\": %zu}\n}\n",
+        docs, docs / secs, results.size());
   }
   return 0;
 }

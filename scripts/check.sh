@@ -13,7 +13,8 @@
 #   3. asan     — the FULL ctest suite again under ASan+UBSan
 #                 (UBSan non-recoverable, so any UB fails the test)
 #   4. tsan     — the concurrency-sensitive subset under ThreadSanitizer
-#                 (obs layer, thread pool, churn/chaos/rpc-policy tests;
+#                 (obs layer, thread pool, churn/chaos/rpc-policy tests,
+#                 and the multi-process tests against a TSan dpss_node;
 #                 the full suite under TSan is too slow for a local gate)
 #
 # Clang's -Wthread-safety analysis over the annotated mutexes needs a
@@ -95,9 +96,9 @@ cmake --build build-asan -j "$JOBS" >/dev/null
 (cd build-asan && ctest --output-on-failure -j "$JOBS")
 
 echo
-echo "== tsan: obs_test + thread_pool + net/cluster subsets under -fsanitize=thread =="
+echo "== tsan: obs_test + thread_pool + net/cluster subsets + real processes under -fsanitize=thread =="
 cmake -B build-tsan -S . -DDPSS_SANITIZE=thread >/dev/null
-cmake --build build-tsan --target obs_test common_test cluster_test net_test -j "$JOBS" >/dev/null
+cmake --build build-tsan --target obs_test common_test cluster_test net_test dpss_node -j "$JOBS" >/dev/null
 # obs_test covers the span ring, trace collector and slow-query log; the
 # http admin tests exercise the admin loop thread against client threads.
 ./build-tsan/tests/obs_test
@@ -106,6 +107,9 @@ cmake --build build-tsan --target obs_test common_test cluster_test net_test -j 
 # ClusterChaos.Sweep* (50 whole-cluster stories) is deliberately excluded:
 # it is deterministic single-driver logic and far too slow under TSan.
 ./build-tsan/tests/cluster_test --gtest_filter='Concurrency.*:RpcPolicy.*:CallPolicyTest.*:ChaosPolicy.*:ChaosTransport.*:Chaos.IdenticalSeedReproducesIdenticalSchedule:ClusterChaos.SingleSeedReplaysCombinedFaultStory:ClusterChaos.SlowReadsDelayLoadsButQueriesStayCorrect:ClusterChaos.RealtimeCrashLosesUnpersistedStopFlushes'
+# Every node process here is the TSan dpss_node: a race report makes the
+# process exit non-zero, which the tests' shutdown checks fail on.
+./build-tsan/tests/net_test --gtest_filter='MultiprocessClusterTest.*'
 
 if command -v clang++ >/dev/null 2>&1; then
   echo

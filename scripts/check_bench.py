@@ -221,8 +221,7 @@ SPECS: dict[str, dict] = {
             ("encrypt", "crt_us"),
             ("decrypt", "batch_us_per_ct"),
             ("fold", "short_us"),
-            ("session", "docs_per_s_pack1"),
-            ("session", "docs_per_s_pack3"),
+            ("session", "docs_per_s"),
         ],
         "ratios": [
             (("encrypt", "fast_speedup"),

@@ -43,10 +43,10 @@ rules keep the accidental escape hatches shut:
                   directly.
   plaintext-release -- the PlaintextBytes escape hatch
                   (releaseForClientReconstruction, crypto/sensitive.h)
-                  is confined to the client reconstruction sites:
-                  pss/session.cc and cluster/pss_client.cc. Everywhere
-                  else in src/, decrypted matched documents stay inside
-                  the privacy type.
+                  has no caller in src/: decrypted matched documents
+                  stay inside the privacy type, and only client binaries
+                  (examples/, bench/, perfbench/) and test fixtures,
+                  none of which the lint walks, read them out.
   secret-memcpy -- no memcpy/memset/memmove over SecretScalar (or any
                   Secret*-named) storage outside src/crypto/; byte-level
                   access to key material bypasses the scrubbing dtor and
@@ -161,18 +161,11 @@ CHAOS_API_EXEMPT = frozenset(
     }
 )
 
-# The privacy boundary's one sanctioned exit: client-side reconstruction
-# (session.cc splits pack groups, pss_client.cc drives the distributed
-# client) plus the declaration itself. Tests use their fixture
-# (tests/pss/plaintext_access.h) and client binaries (examples/, bench/)
-# consume results directly — neither is walked by the lint.
-PLAINTEXT_RELEASE_EXEMPT = frozenset(
-    {
-        "src/crypto/sensitive.h",
-        "src/pss/session.cc",
-        "src/cluster/pss_client.cc",
-    }
-)
+# The privacy boundary has no exit in src/: only the declaration itself
+# names the escape hatch. Tests use their fixture
+# (tests/pss/plaintext_access.h) and client binaries (examples/, bench/,
+# perfbench/) consume results directly — none is walked by the lint.
+PLAINTEXT_RELEASE_EXEMPT = frozenset({"src/crypto/sensitive.h"})
 
 # The subscription plane's matcher and its owner: the only files that
 # may name the match entry point. PR 10 folded the seed's streaming.cc
@@ -286,10 +279,9 @@ RULES = [
         name="plaintext-release",
         pattern=re.compile(r"\breleaseForClientReconstruction\s*\("),
         message=(
-            "PlaintextBytes escape hatch outside the client "
-            "reconstruction sites (pss/session.cc, cluster/pss_client.cc); "
-            "decrypted matched documents must stay inside the privacy "
-            "type (crypto/sensitive.h)"
+            "PlaintextBytes escape hatch in src/; decrypted matched "
+            "documents must stay inside the privacy type "
+            "(crypto/sensitive.h) until a client binary reads them"
         ),
         exempt_files=PLAINTEXT_RELEASE_EXEMPT,
     ),
@@ -643,9 +635,9 @@ SELFTEST_CASES = [
         "src/net/frame.cc",
         "w.str(doc.releaseForClientReconstruction());",
     ),
-    (None, "src/pss/session.cc",
+    ("plaintext-release", "src/pss/session.cc",
      "auto s = p.releaseForClientReconstruction();"),
-    (None, "src/cluster/pss_client.cc",
+    ("plaintext-release", "src/cluster/pss_client.cc",
      "auto s = p.releaseForClientReconstruction();"),
     (None, "src/crypto/sensitive.h",
      "const std::string& releaseForClientReconstruction() const;"),

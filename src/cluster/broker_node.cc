@@ -420,11 +420,9 @@ std::vector<pss::SearchResultEnvelope> BrokerNode::privateSearch(
   for (const auto& s : slices) maxPayload = std::max(maxPayload, s.maxPayload);
   const pss::BlockCodec codec(pss::BlockCodec::maxBlockBytesFor(
       encryptedQuery.publicKey().modulusBits()));
-  const std::size_t pack = std::max<std::size_t>(options_.pssPackFactor, 1);
-  // Packed mode sizes s for the worst-case group of `pack` max-sized
-  // payloads; every node then encodes into the same block count.
-  const std::size_t blocks = codec.blockCount(
-      pack > 1 ? pss::maxPackedBytes(pack, maxPayload) : maxPayload);
+  // Every node encodes into the same block count, sized for the largest
+  // document of any slice.
+  const std::size_t blocks = codec.blockCount(maxPayload);
 
   // Scatter the encrypted query; each node searches its slice.
   std::vector<std::future<pss::SearchResultEnvelope>> futures;
@@ -442,7 +440,6 @@ std::vector<pss::SearchResultEnvelope> BrokerNode::privateSearch(
       seed = rng_.next();
     }
     w.u64(seed);
-    w.varint(pack);
     std::string request = w.take();
     const obs::TraceContext traceCtx = obs::currentTraceContext();
     futures.push_back(pool->submit(

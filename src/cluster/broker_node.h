@@ -48,13 +48,6 @@ struct BrokerOptions {
   /// Queries at or above this duration are always kept in the slow-query
   /// log (partials and errors are kept regardless); 0 keeps every query.
   TimeMs slowQueryMs = 500;
-  /// Documents per packed PSS segment (1 = unpacked). With P > 1 every
-  /// storage node folds P consecutive documents as one plaintext group,
-  /// cutting per-document fold and decryption work ~P×; the envelopes
-  /// advertise the factor so the client unpacks transparently. Buffer
-  /// sizing then applies to groups: each slice must hold more than l_F
-  /// groups, i.e. > l_F · P documents.
-  std::size_t pssPackFactor = 1;
 };
 
 struct BrokerQueryOutcome {

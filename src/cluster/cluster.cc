@@ -18,8 +18,7 @@ Cluster::Cluster(Clock& clock, ClusterOptions options)
       "broker", registry_, transport_,
       BrokerOptions{.scatterThreads = options_.brokerScatterThreads,
                     .resultCacheCapacity = options_.brokerCacheCapacity,
-                    .rpcPolicy = options_.rpcPolicy,
-                    .pssPackFactor = options_.pssPackFactor});
+                    .rpcPolicy = options_.rpcPolicy});
   broker_->start();
   subscriptionBroker_ = std::make_unique<SubscriptionBroker>(
       registry_, metaStore_, transport_,

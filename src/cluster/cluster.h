@@ -35,8 +35,6 @@ struct ClusterOptions {
   LoadRules defaultRules{};  // replication factor 1, keep forever
   /// Retry/backoff/deadline policy for the broker's outbound RPCs.
   RpcPolicy rpcPolicy{};
-  /// Documents per packed PSS segment (BrokerOptions::pssPackFactor).
-  std::size_t pssPackFactor = 1;
   /// Rebalancer/throttle knobs forwarded to the coordinator.
   CoordinatorOptions coordinator{};
 };

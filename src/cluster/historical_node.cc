@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <future>
-#include <set>
-#include <string_view>
 
 #include "cluster/names.h"
 #include "common/bytes.h"
@@ -45,6 +43,8 @@ const obs::MetricId kReregistrations =
     obs::internCounter("historical.registry.reregistrations");
 const obs::MetricId kReregisterFailures =
     obs::internCounter("historical.registry.reregister_failures");
+const obs::MetricId kSubstrateUnavailable =
+    obs::internCounter("historical.substrate_unavailable");
 
 }  // namespace
 
@@ -156,6 +156,17 @@ void HistoricalNode::loseRegistrySession() {
   }
   registry_.expire(session);
   DPSS_LOG(Warn) << name_ << " lost registry session (lease expiry)";
+}
+
+void HistoricalNode::tick() {
+  maybeReregister();
+  try {
+    refreshDrainState();
+    onLoadQueueEvent();
+  } catch (const Unavailable& e) {
+    obs_.counter(kSubstrateUnavailable).inc();
+    DPSS_LOG(Warn) << name_ << " substrate unavailable: " << e.what();
+  }
 }
 
 void HistoricalNode::maybeReregister() {
@@ -495,8 +506,9 @@ std::string HistoricalNode::handleRpc(const std::string& request) {
     auto encQuery = pss::EncryptedQuery::deserialize(r);
     const std::size_t blocks = r.varint();
     const std::uint64_t seed = r.u64();
-    const std::size_t pack =
-        std::max<std::size_t>(r.remaining() > 0 ? r.varint() : 1, 1);
+    if (r.remaining() != 0) {
+      throw CorruptData("trailing bytes after pss search request");
+    }
 
     DocSlice slice;
     {
@@ -523,39 +535,10 @@ std::string HistoricalNode::handleRpc(const std::string& request) {
       const pss::Dictionary dict(words);
       Rng rng(seed);
       pss::StreamSearcher searcher(dict, std::move(encQuery), blocks, rng);
-      const std::size_t docs = slice.documents.size();
-      if (pack <= 1) {
-        for (std::size_t i = 0; i < docs; ++i) {
-          searcher.processSegment(slice.baseIndex + i, slice.documents[i]);
-        }
-        return searcher.finish();
+      for (std::size_t i = 0; i < slice.documents.size(); ++i) {
+        searcher.processSegment(slice.baseIndex + i, slice.documents[i]);
       }
-      // Packed fold: group g covers slice documents [g·P, (g+1)·P); its
-      // keyword set is the union over members so any member's match folds
-      // the group. Group indices restart at 0 per envelope —
-      // reconstruction is per-envelope, and firstDocIndex anchors the
-      // unpacked document indices back onto the global stream.
-      for (std::size_t i = 0, g = 0; i < docs; i += pack, ++g) {
-        const std::size_t count = std::min(pack, docs - i);
-        std::vector<std::string_view> members;
-        members.reserve(count);
-        std::set<std::string> groupWords;
-        for (std::size_t o = 0; o < count; ++o) {
-          members.push_back(slice.documents[i + o]);
-          for (auto& w : pss::distinctWords(slice.documents[i + o])) {
-            groupWords.insert(std::move(w));
-          }
-        }
-        searcher.processSegment(
-            g,
-            std::vector<std::string>(groupWords.begin(), groupWords.end()),
-            searcher.codec().encode(pss::packPayloads(members), blocks));
-      }
-      auto envelope = searcher.finish();
-      envelope.packFactor = pack;
-      envelope.firstDocIndex = slice.baseIndex;
-      envelope.documentCount = docs;
-      return envelope;
+      return searcher.finish();
     });
     pss::SearchResultEnvelope envelope;
     try {

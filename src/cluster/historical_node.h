@@ -79,12 +79,11 @@ class HistoricalNode {
   /// a control verb, not just by this node) and re-processes any
   /// load-queue entries that a previous attempt left behind (e.g. a
   /// deep-storage outage). Watch events cover the steady state; tick() is
-  /// the recovery path a real node runs on a timer.
-  void tick() {
-    maybeReregister();
-    refreshDrainState();
-    onLoadQueueEvent();
-  }
+  /// the recovery path a real node runs on a timer. A substrate outage
+  /// (Unavailable) ends the round early: it is counted as
+  /// historical.substrate_unavailable and logged, and the next tick
+  /// retries.
+  void tick();
 
   // --- graceful drain (decommission; DESIGN.md §13) ---------------------
   /// Enters drain mode: this node refuses new loads (ack-removing them so

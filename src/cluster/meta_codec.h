@@ -48,7 +48,9 @@ inline void writeRecords(ByteWriter& w,
 }
 
 inline std::vector<SegmentRecord> readRecords(ByteReader& r) {
-  const std::uint64_t n = r.varint();
+  // Smallest record: SegmentId (two empty strings, two i64, u32 = 22
+  // bytes), an empty key, the used byte and a 1-byte size.
+  const std::uint64_t n = r.count(25);
   std::vector<SegmentRecord> out;
   out.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) out.push_back(readRecord(r));
@@ -76,7 +78,8 @@ inline void writeSubscriptions(ByteWriter& w,
 }
 
 inline std::vector<SubscriptionRecord> readSubscriptions(ByteReader& r) {
-  const std::uint64_t n = r.varint();
+  // Smallest record: a 1-byte id, an empty spec and the i64 timestamp.
+  const std::uint64_t n = r.count(10);
   std::vector<SubscriptionRecord> out;
   out.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) out.push_back(readSubscription(r));

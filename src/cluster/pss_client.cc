@@ -23,14 +23,12 @@ std::vector<pss::RecoveredSegment> runDistributedPrivateSearch(
       local.envelopes = envelopes.size();
       local.documents = 0;
       for (const auto& env : envelopes) {
-        local.documents += env.documentCount;
+        local.documents += env.segmentsProcessed;
       }
       try {
         std::vector<pss::RecoveredSegment> all;
         for (const auto& env : envelopes) {
-          // openDocuments == open for unpacked envelopes; packed ones are
-          // split back into per-document results here.
-          const auto part = client.openDocuments(env, keywords);
+          const auto part = client.open(env);
           all.insert(all.end(), part.begin(), part.end());
         }
         std::sort(all.begin(), all.end(),

@@ -34,6 +34,8 @@ const obs::MetricId kReregistrations =
     obs::internCounter("realtime.registry.reregistrations");
 const obs::MetricId kReregisterFailures =
     obs::internCounter("realtime.registry.reregister_failures");
+const obs::MetricId kSubstrateUnavailable =
+    obs::internCounter("realtime.substrate_unavailable");
 
 }  // namespace
 
@@ -120,14 +122,13 @@ void RealtimeNode::start() {
     return handleRpc(req);
   });
   // Re-announce buckets with surviving persisted data.
-  std::vector<TimeMs> buckets;
   {
     MutexLock lock(mu_);
     for (const auto& [bucket, snaps] : disk_.persisted) {
-      if (!snaps.empty()) buckets.push_back(bucket);
+      if (!snaps.empty()) announced_.try_emplace(bucket, false);
     }
   }
-  for (const auto b : buckets) announceBucket(b);
+  announcePending();
   // Rebuild standing matchers from the specs that survived on disk; their
   // seq counters and unacked snapshots resume where the crash left them.
   subsHost_.restore();
@@ -253,10 +254,21 @@ void RealtimeNode::tick() {
     if (!running_) return;
   }
   maybeReregister();
-  ingest();
+  const auto substrateStep = [this](auto&& step) {
+    try {
+      step();
+    } catch (const Unavailable& e) {
+      obs_.counter(kSubstrateUnavailable).inc();
+      DPSS_LOG(Warn) << name_ << " substrate unavailable: " << e.what();
+    }
+  };
+  substrateStep([this] {
+    ingest();
+    announcePending();
+  });
   subsHost_.sealDue();
   persistIfDue();
-  handoffIfDue();
+  substrateStep([this] { handoffIfDue(); });
 }
 
 void RealtimeNode::ingest() {
@@ -276,7 +288,6 @@ void RealtimeNode::ingest() {
     for (const auto& m : messages) {
       rows.push_back(storage::decodeInputRow(m.payload));
     }
-    std::vector<TimeMs> newBuckets;
     {
       MutexLock lock(mu_);
       for (std::size_t i = 0; i < messages.size(); ++i) {
@@ -286,7 +297,7 @@ void RealtimeNode::ingest() {
         if (index == nullptr) {
           index = std::make_unique<storage::IncrementalIndex>(
               schema_, options_.rollupGranularityMs);
-          newBuckets.push_back(bucket);
+          announced_.try_emplace(bucket, false);
         }
         index->add(row);
         ++eventsIngested_;
@@ -307,29 +318,31 @@ void RealtimeNode::ingest() {
       subsHost_.onDocument(messages[i].offset, matchText,
                            messages[i].payload);
     }
-    for (const auto b : newBuckets) announceBucket(b);
   }
 }
 
-void RealtimeNode::announceBucket(TimeMs bucket) {
-  bool needed = false;
+void RealtimeNode::announcePending() {
+  std::vector<TimeMs> pending;
   SessionPtr session;
   {
     MutexLock lock(mu_);
     if (!running_) return;
-    if (!announced_[bucket]) {
-      announced_[bucket] = true;
-      needed = true;
+    for (const auto& [bucket, announced] : announced_) {
+      if (!announced) pending.push_back(bucket);
     }
     session = session_;
   }
-  if (!needed) return;
-  const SegmentId id = realtimeSegmentId(bucket);
-  try {
-    registry_.create(paths::servedSegment(name_, id), id.toString(), session,
-                     /*ephemeral=*/true);
-  } catch (const AlreadyExists&) {
-    // Restart within the same process lifetime; announcement persists.
+  for (const auto bucket : pending) {
+    const SegmentId id = realtimeSegmentId(bucket);
+    try {
+      registry_.create(paths::servedSegment(name_, id), id.toString(),
+                       session, /*ephemeral=*/true);
+    } catch (const AlreadyExists&) {
+      // Restart within the same process lifetime; announcement persists.
+    }
+    MutexLock lock(mu_);
+    const auto it = announced_.find(bucket);
+    if (it != announced_.end()) it->second = true;
   }
 }
 

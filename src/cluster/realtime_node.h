@@ -95,7 +95,10 @@ class RealtimeNode {
 
   /// One scheduling round: re-register if the session expired, ingest
   /// available messages, then run persist and handoff if their deadlines
-  /// passed.
+  /// passed. A substrate outage (Unavailable) ends only the step that hit
+  /// it — announcing new buckets, or publishing a handoff — and is counted
+  /// as realtime.substrate_unavailable and logged; the next tick retries
+  /// it.
   void tick();
 
   const std::string& name() const { return name_; }
@@ -139,7 +142,9 @@ class RealtimeNode {
   void ingest() DPSS_EXCLUDES(mu_);
   void persistIfDue() DPSS_EXCLUDES(mu_);
   void handoffIfDue() DPSS_EXCLUDES(mu_);
-  void announceBucket(TimeMs bucket) DPSS_EXCLUDES(mu_);
+  /// Announces every bucket not yet announced; a bucket whose
+  /// announcement fails stays pending for the next call.
+  void announcePending() DPSS_EXCLUDES(mu_);
   std::string handleRpc(const std::string& request) DPSS_EXCLUDES(mu_);
 
   std::string name_;

@@ -19,9 +19,9 @@
 //   PlaintextBytes — a decrypted matched document. No conversion to
 //       string/string_view and no serialize(ByteWriter&), so handing one
 //       to the byte codec or a net::Frame fails overload resolution.
-//       The single escape hatch, releaseForClientReconstruction(), is
-//       confined by dpss-lint to the client reconstruction sites
-//       (pss/session.cc, cluster/pss_client.cc) and test fixtures.
+//       The single escape hatch, releaseForClientReconstruction(), has
+//       no caller in src/ (dpss-lint); client binaries and test
+//       fixtures read matched documents through it.
 //   CiphertextBlob — the wire form of a Paillier ciphertext, the one
 //       payload sanctioned to cross the boundary. Freely copyable and
 //       serializable; a distinct type so codec paths state which of the
@@ -69,8 +69,8 @@ void scrubBytes(void* data, std::size_t size) noexcept;
 /// reconstruction (§III-C Steps 3–4). Deliberately NOT convertible to
 /// string_view and NOT serializable: a PlaintextBytes cannot be written
 /// into a ByteWriter, a net::Frame or an RPC envelope without going
-/// through releaseForClientReconstruction(), which dpss-lint confines
-/// to client-side reconstruction code. Storage is scrubbed on
+/// through releaseForClientReconstruction(), which dpss-lint keeps out
+/// of src/ (client binaries and tests only). Storage is scrubbed on
 /// destruction, and stream/gtest printing is redacted to a byte count
 /// so matched documents never land in logs by accident.
 class PlaintextBytes {
@@ -103,10 +103,9 @@ class PlaintextBytes {
   bool empty() const { return bytes_.empty(); }
 
   /// The ONLY way back to raw bytes. dpss-lint's escape-hatch rule
-  /// confines call sites in src/ to pss/session.cc and
-  /// cluster/pss_client.cc; tests go through their fixture
+  /// allows no call site in src/; tests go through their fixture
   /// (tests/pss/plaintext_access.h) and client-side binaries
-  /// (examples/, bench/) are the sanctioned end consumers.
+  /// (examples/, bench/, perfbench/) are the sanctioned end consumers.
   const std::string& releaseForClientReconstruction() const { return bytes_; }
 
   /// Comparison is not release: equality/ordering against other

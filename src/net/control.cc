@@ -46,7 +46,7 @@ void bindControl(cluster::TransportIface& transport,
         }
         const std::string docSource = r.str();
         const std::uint64_t base = r.u64();
-        const std::uint64_t n = r.varint();
+        const std::uint64_t n = r.count(1);  // a length prefix at least
         std::vector<std::string> docs;
         docs.reserve(n);
         for (std::uint64_t i = 0; i < n; ++i) docs.push_back(r.str());
@@ -57,9 +57,15 @@ void bindControl(cluster::TransportIface& transport,
         if (targets.queue == nullptr) {
           throw InvalidArgument("control: this role consumes no queue");
         }
-        const std::uint64_t n = r.varint();
-        for (std::uint64_t i = 0; i < n; ++i) {
-          targets.queue->append(targets.topic, targets.partition, r.str());
+        // Decode the whole batch before appending any of it, so a corrupt
+        // batch leaves the queue untouched.
+        const std::uint64_t n = r.count(1);  // a length prefix at least
+        std::vector<std::string> payloads;
+        payloads.reserve(n);
+        for (std::uint64_t i = 0; i < n; ++i) payloads.push_back(r.str());
+        for (auto& p : payloads) {
+          targets.queue->append(targets.topic, targets.partition,
+                                std::move(p));
         }
         w.u64(targets.queue->endOffset(targets.topic, targets.partition));
         break;
@@ -145,7 +151,7 @@ std::vector<std::string> controlServedSegments(
   OwnedByteReader r(
       cluster::callWithPolicy(transport, controlNode(nodeName),
                               ctlRequest(control_op::kServedSegments).take()));
-  const std::uint64_t n = r.varint();
+  const std::uint64_t n = r.count(1);  // a length prefix at least
   std::vector<std::string> out;
   out.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) out.push_back(r.str());

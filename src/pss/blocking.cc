@@ -82,29 +82,4 @@ crypto::PlaintextBytes BlockCodec::decode(
   return crypto::PlaintextBytes(std::move(payload));
 }
 
-std::string packPayloads(const std::vector<std::string_view>& payloads) {
-  ByteWriter w;
-  w.varint(payloads.size());
-  for (const auto p : payloads) w.str(p);
-  return w.take();
-}
-
-std::vector<std::string> unpackPayloads(std::string_view packed) {
-  ByteReader r(packed);
-  const std::uint64_t count = r.varint();
-  if (count > packed.size()) throw CorruptData("pack count exceeds frame");
-  std::vector<std::string> out;
-  out.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) out.emplace_back(r.str());
-  if (r.remaining() != 0) throw CorruptData("trailing bytes after pack");
-  return out;
-}
-
-std::size_t maxPackedBytes(std::size_t packFactor, std::size_t maxPayload) {
-  ByteWriter w;
-  w.varint(packFactor);
-  for (std::size_t i = 0; i < packFactor; ++i) w.varint(maxPayload);
-  return w.size() + packFactor * maxPayload;
-}
-
 }  // namespace dpss::pss

@@ -53,20 +53,4 @@ class BlockCodec {
   std::size_t blockBytes_;
 };
 
-/// Blockwise ciphertext packing: `packFactor` consecutive documents share
-/// one plaintext segment group, shrinking the per-document fold and
-/// decryption cost by ~packFactor. The pack frame is
-/// [varint count][varint len, bytes]×count; the group is then encoded /
-/// folded / reconstructed like any other payload, and the client splits
-/// it back into documents after reconstruction.
-std::string packPayloads(const std::vector<std::string_view>& payloads);
-
-/// Inverse of packPayloads. Throws CorruptData on a malformed frame.
-std::vector<std::string> unpackPayloads(std::string_view packed);
-
-/// Upper bound on the packed byte size of any group of at most
-/// `packFactor` payloads each at most `maxPayload` bytes — what the
-/// broker sizes s from when it only knows per-slice maxima.
-std::size_t maxPackedBytes(std::size_t packFactor, std::size_t maxPayload);
-
 }  // namespace dpss::pss

@@ -21,9 +21,6 @@ void SearchResultEnvelope::serialize(ByteWriter& w) const {
   w.u64(bloomSeed);
   w.u64(firstIndex);
   w.u64(segmentsProcessed);
-  w.varint(packFactor);
-  w.u64(firstDocIndex);
-  w.varint(documentCount);
   params.serialize(w);
 }
 
@@ -34,9 +31,6 @@ SearchResultEnvelope SearchResultEnvelope::deserialize(ByteReader& r) {
   e.bloomSeed = r.u64();
   e.firstIndex = r.u64();
   e.segmentsProcessed = r.u64();
-  e.packFactor = r.varint();
-  e.firstDocIndex = r.u64();
-  e.documentCount = r.varint();
   e.params = SearchParams::deserialize(r);
   return e;
 }
@@ -140,9 +134,6 @@ SearchResultEnvelope StreamSearcher::finish() {
   env.bloomSeed = bloom_.seed();
   env.firstIndex = firstIndex_;
   env.segmentsProcessed = processed_;
-  env.packFactor = 1;
-  env.firstDocIndex = firstIndex_;
-  env.documentCount = processed_;
   env.params = query_.params();
   env.buffers = std::move(buffers_);
   return env;

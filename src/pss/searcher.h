@@ -39,18 +39,7 @@ struct SearchResultEnvelope {
   /// searches its own partition of the stream and returns an envelope for
   /// its range; the client reconstructs each envelope independently.
   std::uint64_t firstIndex = 0;
-  std::uint64_t segmentsProcessed = 0;  // t
-  /// Documents per segment (1 = unpacked). With packFactor P > 1 every
-  /// segment in this envelope is a pack of P consecutive documents
-  /// (pss::packPayloads); the client unpacks after reconstruction.
-  std::uint64_t packFactor = 1;
-  /// Stream index of the first *document* covered (== firstIndex when
-  /// unpacked). Document o of group i lives at
-  /// firstDocIndex + (i - firstIndex)·packFactor + o.
-  std::uint64_t firstDocIndex = 0;
-  /// Total documents covered (== segmentsProcessed when unpacked; the
-  /// last group of a packed batch may be short).
-  std::uint64_t documentCount = 0;
+  std::uint64_t segmentsProcessed = 0;  // t, one document per segment
   SearchParams params;
 
   void serialize(ByteWriter& w) const;

@@ -35,15 +35,13 @@ class PrivateSearchClient {
     return Reconstructor(keys_.get().priv).reconstruct(env);
   }
 
-  /// Steps 3–4 plus unpacking: opens an envelope whose segments each pack
-  /// env.packFactor consecutive documents, splits the groups back into
-  /// documents, and recomputes each document's c-value from the query
-  /// keywords (the reconstructed c-value belongs to the whole group).
-  /// Documents matching no keyword — riders in a matched group — are
-  /// dropped. For unpacked envelopes this is exactly open().
+  /// Forwards to open(). Kept only for the perfbench load generator,
+  /// which calls it by this name; everything else calls open().
   std::vector<RecoveredSegment> openDocuments(
       const SearchResultEnvelope& env,
-      const std::set<std::string>& keywords) const;
+      const std::set<std::string>& /*keywords*/) const {
+    return open(env);
+  }
 
   const crypto::PaillierPublicKey& publicKey() const { return keys_.get().pub; }
   const crypto::PaillierPrivateKey& privateKey() const {
@@ -72,19 +70,6 @@ std::vector<RecoveredSegment> runPrivateSearch(
     const std::vector<std::string>& payloads,
     std::size_t blocksPerSegment, Rng& brokerRng, int maxRetries = 3);
 
-/// Packed variant of runPrivateSearch: every `packFactor` consecutive
-/// documents share one plaintext segment group (pss::packPayloads), so
-/// the broker folds and the client decrypts ~packFactor× fewer
-/// ciphertexts per document. The group's keyword set is the union over
-/// its members; the client unpacks and recomputes per-document c-values.
-/// packFactor <= 1 is exactly runPrivateSearch. Note the buffer-sizing
-/// constraint applies to *groups*: ⌈payloads/packFactor⌉ must still
-/// exceed l_F.
-std::vector<RecoveredSegment> runPrivateSearchPacked(
-    PrivateSearchClient& client, const std::set<std::string>& keywords,
-    const std::vector<std::string>& payloads, std::size_t packFactor,
-    std::size_t blocksPerSegment, Rng& brokerRng, int maxRetries = 3);
-
 /// Smallest s such that every payload encodes into s blocks under a
 /// modulus of `modulusBits` bits.
 std::size_t blocksNeeded(const std::vector<std::string>& payloads,
@@ -98,7 +83,6 @@ std::size_t blocksNeeded(const std::vector<std::string>& payloads,
 std::vector<RecoveredSegment> runThresholdSearch(
     PrivateSearchClient& client, const std::set<std::string>& keywords,
     std::uint64_t threshold, const std::vector<std::string>& payloads,
-    std::size_t blocksPerSegment, Rng& brokerRng, int maxRetries = 3,
-    std::size_t packFactor = 1);
+    std::size_t blocksPerSegment, Rng& brokerRng, int maxRetries = 3);
 
 }  // namespace dpss::pss

@@ -1,13 +1,15 @@
-// Forged item counts on the client-facing RPCs and on span shipping: a
-// sender that declares 2^62 envelopes, words, rows, values, segments,
-// snapshots, ids or spans must get a typed CorruptData before anything is
-// sized by the count.
+// Forged item counts on the client-facing RPCs, on span shipping and in
+// the metastore row codec (substrate replies, journal and snapshot
+// files): a sender that declares 2^62 envelopes, words, rows, values,
+// segments, snapshots, ids, spans or metastore records must get a typed
+// CorruptData before anything is sized by the count.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
 
 #include "cluster/broker_rpc.h"
+#include "cluster/meta_codec.h"
 #include "cluster/span_ship.h"
 #include "cluster/subscription_rpc.h"
 #include "cluster/transport.h"
@@ -101,6 +103,24 @@ TEST(ClientRpcDecode, ForgedSpanShipCountIsCorruptData) {
   obs::TraceCollector collector;
   EXPECT_THROW(handleSpansRpc(collector, w.take()), CorruptData);
   EXPECT_TRUE(collector.spansFor(0).empty());
+}
+
+TEST(MetaCodecDecode, ForgedSegmentRecordCountIsCorruptData) {
+  ByteWriter w;
+  w.varint(kForged);
+  meta_codec::writeRecord(
+      w, SegmentRecord{storage::SegmentId{"ds", Interval(0, 10), "v1", 0},
+                       "key", true, 1});
+  ByteReader r(w.data());
+  EXPECT_THROW(meta_codec::readRecords(r), CorruptData);
+}
+
+TEST(MetaCodecDecode, ForgedSubscriptionRecordCountIsCorruptData) {
+  ByteWriter w;
+  w.varint(kForged);
+  meta_codec::writeSubscription(w, SubscriptionRecord{1, "spec", 0});
+  ByteReader r(w.data());
+  EXPECT_THROW(meta_codec::readSubscriptions(r), CorruptData);
 }
 
 }  // namespace

@@ -468,5 +468,27 @@ TEST(Coordinator, SubstrateOutageIsALostLeadershipTick) {
   node.stop();
 }
 
+TEST(HistoricalTick, SubstrateOutageIsCountedAndTickedAgain) {
+  ManualClock clock(1'400'000'000'000);
+  FlakyRegistry registry;
+  storage::MemoryDeepStorage deepStorage;
+  Transport transport(clock);
+  HistoricalNode node("historical-0", registry, deepStorage, transport);
+  node.start();
+  const auto outages = [&] {
+    return node.metrics().snapshot().counterValue(
+        "historical.substrate_unavailable");
+  };
+  // The load-queue listing fails: the tick ends early instead of
+  // throwing out of the process's main loop.
+  registry.down = true;
+  EXPECT_NO_THROW(node.tick());
+  EXPECT_EQ(outages(), 1u);
+  registry.down = false;
+  EXPECT_NO_THROW(node.tick());
+  EXPECT_EQ(outages(), 1u);
+  node.stop();
+}
+
 }  // namespace
 }  // namespace dpss::cluster

@@ -64,33 +64,6 @@ class PssClusterTest : public ::testing::Test {
     throw CryptoError("no solvable batch in 5 attempts");
   }
 
-  /// As search(), but opens through openDocuments so packed envelopes
-  /// come back per-document; results are sorted by document index.
-  std::vector<pss::RecoveredSegment> searchDocuments(
-      Cluster& cluster, const std::set<std::string>& keywords) {
-    for (int attempt = 0; attempt < 5; ++attempt) {
-      const auto query = client_.makeQuery(keywords);
-      const auto envelopes =
-          cluster.broker().privateSearch("security-log", dict_, query);
-      try {
-        std::vector<pss::RecoveredSegment> all;
-        for (const auto& env : envelopes) {
-          const auto part = client_.openDocuments(env, keywords);
-          all.insert(all.end(), part.begin(), part.end());
-        }
-        std::sort(all.begin(), all.end(),
-                  [](const pss::RecoveredSegment& a,
-                     const pss::RecoveredSegment& b) {
-                    return a.index < b.index;
-                  });
-        return all;
-      } catch (const CryptoError&) {
-        continue;
-      }
-    }
-    throw CryptoError("no solvable batch in 5 attempts");
-  }
-
   ManualClock clock_;
   pss::Dictionary dict_;
   pss::SearchParams params_;
@@ -164,6 +137,25 @@ TEST_F(PssClusterTest, ForgedDictionarySizeIsCorruptData) {
       CorruptData);
 }
 
+TEST_F(PssClusterTest, TrailingBytesAfterSearchRequestAreCorruptData) {
+  // A well-formed slice-search body followed by one stray byte must be
+  // refused whole, not folded with the byte read as an extra field.
+  Cluster cluster(clock_, {.historicalNodes = 1});
+  loadDocs(cluster, makeDocs(16));
+  ByteWriter w;
+  w.u8(rpc::kPssSearch);
+  w.str("security-log");
+  w.varint(dict_.size());
+  for (const auto& word : dict_.words()) w.str(word);
+  client_.makeQuery({"virus"}).serialize(w);
+  w.varint(3);  // a framed 26-byte line fills 3 blocks of a 128-bit key
+  w.u64(4242);  // broker seed
+  const std::string request = w.take();
+  const std::string node = cluster.historical(0).name();
+  EXPECT_NO_THROW(cluster.transport().call(node, request));
+  EXPECT_THROW(cluster.transport().call(node, request + '\x05'), CorruptData);
+}
+
 TEST_F(PssClusterTest, EnvelopeCountMatchesSliceHolders) {
   Cluster cluster(clock_, {.historicalNodes = 3});
   loadDocs(cluster, makeDocs(48));
@@ -197,34 +189,6 @@ TEST_F(PssClusterTest, EachSliceSearchArmsItsBuffersOnce) {
              params_.bufferLength + params_.indexBufferLength;
   }
   EXPECT_EQ(encrypts(0) + encrypts(1) - before, slots);
-}
-
-TEST_F(PssClusterTest, PackedClusterSearchMatchesUnpacked) {
-  // The broker's pssPackFactor makes every historical node fold groups of
-  // 3 documents; envelopes advertise the factor and openDocuments splits
-  // them back. Results must equal the unpacked run document-for-document.
-  auto docs = makeDocs(90);
-  docs[5] = "virus detected on host five";
-  docs[40] = "worm spreading laterally";
-  docs[41] = "virus and worm combo";  // same pack group as 40
-  docs[77] = "worm at the tail";
-
-  Cluster unpacked(clock_, {.historicalNodes = 2});
-  loadDocs(unpacked, docs);
-  const auto plain = searchDocuments(unpacked, {"virus", "worm"});
-
-  Cluster packed(clock_, {.historicalNodes = 2, .pssPackFactor = 3});
-  loadDocs(packed, docs);
-  const auto split = searchDocuments(packed, {"virus", "worm"});
-
-  ASSERT_EQ(split.size(), plain.size());
-  ASSERT_EQ(split.size(), 4u);
-  for (std::size_t i = 0; i < split.size(); ++i) {
-    EXPECT_EQ(split[i].index, plain[i].index);
-    EXPECT_EQ(split[i].cValue, plain[i].cValue);
-    EXPECT_EQ(split[i].payload, plain[i].payload);
-  }
-  for (const auto& r : split) EXPECT_EQ(r.payload, docs[r.index]);
 }
 
 TEST_F(PssClusterTest, BrokerSeesOnlyCiphertexts) {

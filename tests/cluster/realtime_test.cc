@@ -3,6 +3,8 @@
 // handoff to historical nodes, and partition scale-out.
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include "cluster/cluster.h"
 #include "common/error.h"
 #include "storage/adtech.h"
@@ -203,6 +205,70 @@ TEST_F(RealtimeTest, WindowTimeHandoffToHistorical) {
       cluster.broker().query(rtCount(Interval(kT0, kT0 + kHour)));
   EXPECT_DOUBLE_EQ(outcome.rows[0].values[1], 42.0);
   EXPECT_EQ(outcome.segmentsQueried, 1u);  // only the historical copy now
+}
+
+// A substrate that can go away: announcements and metastore writes throw
+// Unavailable while `down` is set, as the remote proxies do when the
+// substrate process is gone.
+class FlakyRegistry : public Registry {
+ public:
+  void create(const std::string& path, const std::string& data,
+              const SessionPtr& session, bool ephemeral) override {
+    if (down) throw Unavailable("substrate unreachable");
+    Registry::create(path, data, session, ephemeral);
+  }
+  std::atomic<bool> down{false};
+};
+
+class FlakyMetaStore : public MetaStore {
+ public:
+  void upsertSegment(const SegmentRecord& record) override {
+    if (down) throw Unavailable("substrate unreachable");
+    MetaStore::upsertSegment(record);
+  }
+  std::atomic<bool> down{false};
+};
+
+TEST_F(RealtimeTest, SubstrateOutageSkipsOnlyTheStepThatNeedsIt) {
+  FlakyRegistry registry;
+  FlakyMetaStore metaStore;
+  storage::MemoryDeepStorage deepStorage;
+  Transport transport(clock_);
+  MessageQueue queue;
+  queue.createTopic("ads-stream", 1);
+  NodeDisk disk;
+  RealtimeNode node("rt-0", registry, queue, "ads-stream", 0, deepStorage,
+                    metaStore, transport, clock_, rtSchema(), "rt-ads", disk,
+                    options_);
+  node.start();
+  const auto outages = [&] {
+    return node.metrics().snapshot().counterValue(
+        "realtime.substrate_unavailable");
+  };
+
+  // Announcing the new bucket fails: the event is still ingested, and the
+  // announcement stays pending until the registry is back.
+  registry.down = true;
+  queue.append("ads-stream", 0, event(kT0 + 1, "sina", 42));
+  EXPECT_NO_THROW(node.tick());
+  EXPECT_EQ(node.eventsIngested(), 1u);
+  EXPECT_TRUE(node.announcedSegments().empty());
+  EXPECT_EQ(outages(), 1u);
+  registry.down = false;
+  node.tick();
+  EXPECT_EQ(node.announcedSegments().size(), 1u);
+
+  // Publishing the handoff fails: the next tick publishes it.
+  clock_.advance(kHour + options_.windowMs);
+  metaStore.down = true;
+  EXPECT_NO_THROW(node.tick());
+  EXPECT_EQ(outages(), 2u);
+  EXPECT_EQ(node.pendingHandoffs(), 0u);
+  metaStore.down = false;
+  node.tick();
+  EXPECT_EQ(node.pendingHandoffs(), 1u);
+  EXPECT_EQ(metaStore.usedSegments().size(), 1u);
+  node.stop();
 }
 
 TEST_F(RealtimeTest, NoDoubleCountingDuringHandoffWindow) {

@@ -22,7 +22,7 @@ dpss::pss::RecoveredDocument peek(
   snap.envelope.serialize(w);
   dpss::pss::RecoveredDocument doc;
   doc.stream = snap.node;
-  doc.streamIndex = snap.envelope.firstDocIndex;
+  doc.streamIndex = snap.envelope.firstIndex;
   doc.payload = dpss::crypto::PlaintextBytes(w.take());
   return doc;
 }

@@ -7,24 +7,18 @@
 //   PaillierPrivateKey::encrypt (CRT halves)     vs  PaillierPublicKey::encrypt
 //   PaillierPrivateKey::decryptCrt / CrtBatch    vs  decrypt
 //   PaillierPrivateKey::isZeroModP               vs  decryptCrt(c).isZero()
-//   packPayloads / unpackPayloads                vs  identity
-//   runPrivateSearchPacked                       vs  runPrivateSearch
 //
 // "Byte-identical" is literal: results are compared via toBytes(), not
 // just numerically, so serialization-visible drift fails too.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "crypto/bigint.h"
 #include "crypto/paillier.h"
-#include "pss/blocking.h"
-#include "pss/session.h"
 
 namespace dpss::crypto {
 namespace {
@@ -179,64 +173,6 @@ TEST(PaillierDifferential, ZeroTestPreconditionIsPlaintextBelowP) {
   // The smallest key PSS uses (128 bits, a 64-bit p) covers batches of
   // up to ~2^31 segments.
   EXPECT_TRUE(sharedKey().priv.zeroTestCovers(std::uint64_t{1} << 30));
-}
-
-TEST(PackingDifferential, PackUnpackRoundTrips) {
-  for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
-    Rng rng(9000 + seed);
-    const std::size_t count = rng.below(6);
-    std::vector<std::string> docs;
-    for (std::size_t i = 0; i < count; ++i) {
-      std::string d;
-      const std::size_t len = rng.below(64);
-      for (std::size_t b = 0; b < len; ++b) {
-        d.push_back(static_cast<char>(rng.below(256)));
-      }
-      docs.push_back(std::move(d));
-    }
-    std::vector<std::string_view> views(docs.begin(), docs.end());
-    const std::vector<std::string> back =
-        pss::unpackPayloads(pss::packPayloads(views));
-    EXPECT_EQ(back, docs) << "seed " << seed;
-  }
-}
-
-TEST(PackingDifferential, PackedSearchMatchesPerDocumentSearch) {
-  // The end-to-end pair: packed sessions must recover the same documents
-  // with the same per-document c-values as unpacked sessions. Heavier
-  // than the kernel sweeps, so fewer seeds — the kernel equivalences
-  // above carry the 100-seed burden.
-  const std::vector<std::string> dictWords = {"apple", "breach", "cipher",
-                                              "delta", "echo"};
-  const pss::Dictionary dict(dictWords);
-  const pss::SearchParams params{
-      .bufferLength = 4, .indexBufferLength = 64, .bloomHashes = 3};
-  for (std::uint64_t seed = 0; seed < 6; ++seed) {
-    std::vector<std::string> stream;
-    for (int i = 0; i < 24; ++i) {
-      stream.push_back("routine entry " + std::to_string(i));
-    }
-    stream[3] = "breach in sector apple";
-    stream[10] = "cipher breach confirmed";
-    stream[17] = "apple only here";
-
-    pss::PrivateSearchClient clientA(dict, params, 128, 500 + seed);
-    Rng brokerA(600 + seed);
-    const auto unpacked = runPrivateSearch(clientA, {"apple", "breach"},
-                                           stream, 0, brokerA);
-
-    pss::PrivateSearchClient clientB(dict, params, 128, 500 + seed);
-    Rng brokerB(600 + seed);
-    const auto packed = runPrivateSearchPacked(
-        clientB, {"apple", "breach"}, stream, /*packFactor=*/3, 0, brokerB);
-
-    ASSERT_EQ(packed.size(), unpacked.size()) << "seed " << seed;
-    for (std::size_t i = 0; i < packed.size(); ++i) {
-      EXPECT_EQ(packed[i].index, unpacked[i].index) << "seed " << seed;
-      EXPECT_EQ(packed[i].cValue, unpacked[i].cValue) << "seed " << seed;
-      EXPECT_EQ(packed[i].payload, unpacked[i].payload) << "seed " << seed;
-    }
-  }
 }
 
 }  // namespace

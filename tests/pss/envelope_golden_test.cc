@@ -29,7 +29,7 @@ namespace {
 using test::sha256Hex;
 
 constexpr char kEnvelopeSha256[] =
-    "b6791ea3eb57ad18621e97eab284526272cbbf6d4ecb4bf683c632e654dbb7f1";
+    "6c4a32d0c9431b9923a9f03794ede23c7c8e56b92d8280a9488b7f35cdbd4702";
 // Work the batch records: buffer accumulations (the Fig. 7 cost driver)
 // and E(c)^f modexps (one per block per segment).
 constexpr std::uint64_t kFolds = 1016;
@@ -41,7 +41,7 @@ constexpr std::uint64_t kArmEncrypts = 176;
 // Three consecutive seals of one standing matcher (see
 // SubscriptionSealsMatchGolden).
 constexpr char kSubscriptionSha256[] =
-    "958d550094b65373293453153bfe9202813da8bfd9b7342a9b0b1740c2efa502";
+    "ab49a09e43a81041c9b1021e17a99a1c8035aadcc76588e2f9c9b9c86bb8c0de";
 
 const std::vector<std::string> kDict = {"alpha", "breach", "cipher", "delta",
                                         "echo",  "fox",    "golf",   "hotel"};

@@ -2,8 +2,6 @@
 // the quantitative backdrop of the paper's buffer-design choice.
 #include <gtest/gtest.h>
 
-#include <tuple>
-
 #include "pss/ostrovsky.h"
 #include "pss/plaintext_access.h"
 #include "pss/session.h"
@@ -54,15 +52,12 @@ INSTANTIATE_TEST_SUITE_P(
                       SweepCase{32, 2, 8}, SweepCase{16, 2, 8},
                       SweepCase{128, 4, 4}, SweepCase{128, 1, 4}));
 
-// (seed, packFactor): the Bloom false-positive property must hold for
-// packed batches too, where candidates are document *groups*.
-class BloomFalsePositiveSweep
-    : public ::testing::TestWithParam<std::tuple<int, std::size_t>> {};
+class BloomFalsePositiveSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(BloomFalsePositiveSweep, FalsePositivesResolveToZeroCValues) {
   // Bloom false positives are expected; the c-value solve must always
   // discard them (c = 0), whatever the l_I / k sizing.
-  const auto [seed, packFactor] = GetParam();
+  const int seed = GetParam();
   Dictionary dict({"hit", "miss"});
   // Deliberately undersized Bloom buffer: false positives guaranteed.
   SearchParams params;
@@ -72,14 +67,13 @@ TEST_P(BloomFalsePositiveSweep, FalsePositivesResolveToZeroCValues) {
   PrivateSearchClient client(dict, params, 128, 5000 + seed);
   Rng rng(6000 + seed);
 
-  // Enough documents that even the packed stream has > l_F groups.
-  std::vector<std::string> docs(40 * packFactor, "miss entry");
+  std::vector<std::string> docs(40, "miss entry");
   docs[5] = "hit one";
   docs[29] = "hit two";
   for (int attempt = 0; attempt < 8; ++attempt) {
     try {
       const auto results =
-          runPrivateSearchPacked(client, {"hit"}, docs, packFactor, 0, rng);
+          runPrivateSearch(client, {"hit"}, docs, 0, rng);
       ASSERT_EQ(results.size(), 2u);
       EXPECT_EQ(results[0].index, 5u);
       EXPECT_EQ(results[1].index, 29u);
@@ -96,8 +90,7 @@ TEST_P(BloomFalsePositiveSweep, FalsePositivesResolveToZeroCValues) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BloomFalsePositiveSweep,
-                         ::testing::Combine(::testing::Range(0, 8),
-                                            ::testing::Values(1u, 2u, 3u)));
+                         ::testing::Range(0, 8));
 
 }  // namespace
 }  // namespace dpss::pss

@@ -101,59 +101,6 @@ TEST(SearchLoneCandidate, AllZeroRawPrfColumnStillReconstructs) {
   EXPECT_EQ(recovered[0].payload, match);
 }
 
-TEST_F(SearchE2E, PackedDocumentsRecoverIndividually) {
-  // Ciphertext packing: 3 documents per plaintext group, but the results
-  // still come back per-document with per-document indices, payloads and
-  // c-values. Two of the matches share a group; one rides alone.
-  std::vector<std::string> stream;
-  for (int i = 0; i < 36; ++i) {
-    stream.push_back("routine traffic entry " + std::to_string(i));
-  }
-  stream[4] = "detected virus signature";     // group 1
-  stream[5] = "data breach via gateway";      // group 1 (same group)
-  stream[20] = "virus and breach on root";    // group 6
-  const auto results = runPrivateSearchPacked(client_, {"virus", "breach"},
-                                              stream, /*packFactor=*/3, 0,
-                                              brokerRng_);
-  ASSERT_EQ(results.size(), 3u);
-  EXPECT_EQ(results[0].index, 4u);
-  EXPECT_EQ(results[0].payload, stream[4]);
-  EXPECT_EQ(results[0].cValue, 1u);
-  EXPECT_EQ(results[1].index, 5u);
-  EXPECT_EQ(results[1].payload, stream[5]);
-  EXPECT_EQ(results[1].cValue, 1u);
-  EXPECT_EQ(results[2].index, 20u);
-  EXPECT_EQ(results[2].cValue, 2u);
-}
-
-TEST_F(SearchE2E, PackedRidersAreDropped) {
-  // Non-matching documents sharing a group with a match must not leak
-  // into the result set.
-  std::vector<std::string> stream(30, "calm waters");
-  stream[13] = "malware beacon";  // group 6 of pack factor 2 = docs 12, 13
-  const auto results = runPrivateSearchPacked(client_, {"malware"}, stream,
-                                              /*packFactor=*/2, 0,
-                                              brokerRng_);
-  ASSERT_EQ(results.size(), 1u);
-  EXPECT_EQ(results[0].index, 13u);
-  EXPECT_EQ(results[0].payload, stream[13]);
-}
-
-TEST_F(SearchE2E, PackedBinaryPayloadsSurvive) {
-  // The pack frame is length-delimited, so binary member payloads —
-  // including bytes that look like varints — round-trip exactly.
-  std::vector<std::string> stream(32, "plain");
-  std::string binary = "virus";
-  for (int i = 0; i < 16; ++i) binary.push_back(static_cast<char>(i % 7));
-  stream[9] = binary;
-  const auto results = runPrivateSearchPacked(client_, {"virus"}, stream,
-                                              /*packFactor=*/4, 0,
-                                              brokerRng_);
-  ASSERT_EQ(results.size(), 1u);
-  EXPECT_EQ(results[0].index, 9u);
-  EXPECT_EQ(results[0].payload, binary);
-}
-
 TEST_F(SearchE2E, RecoversExactlyTheMatchingSegments) {
   const auto stream = makeStream();
   const auto results = run({"virus", "breach"}, stream);

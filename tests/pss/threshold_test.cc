@@ -8,10 +8,7 @@
 namespace dpss::pss {
 namespace {
 
-// Parameterized over the ciphertext packing factor: thresholding is a
-// client-side filter on per-document c-values, so it must behave
-// identically whether documents travelled unpacked or packed.
-class ThresholdTest : public ::testing::TestWithParam<std::size_t> {
+class ThresholdTest : public ::testing::Test {
  protected:
   ThresholdTest()
       : dict_({"alpha", "beta", "gamma", "delta", "plain"}),
@@ -23,8 +20,7 @@ class ThresholdTest : public ::testing::TestWithParam<std::size_t> {
   std::vector<RecoveredSegment> search(const std::set<std::string>& keywords,
                                        std::uint64_t threshold,
                                        const std::vector<std::string>& docs) {
-    return runThresholdSearch(client_, keywords, threshold, docs, 0, rng_,
-                              /*maxRetries=*/3, /*packFactor=*/GetParam());
+    return runThresholdSearch(client_, keywords, threshold, docs, 0, rng_);
   }
 
   Dictionary dict_;
@@ -34,8 +30,6 @@ class ThresholdTest : public ::testing::TestWithParam<std::size_t> {
 };
 
 std::vector<std::string> thresholdStream() {
-  // Long enough that the packed stream still has > l_F groups at the
-  // largest packing factor under test.
   std::vector<std::string> docs(60, "plain text only");
   docs[2] = "alpha alone here";                       // c = 1
   docs[7] = "alpha and beta together";                // c = 2
@@ -44,42 +38,39 @@ std::vector<std::string> thresholdStream() {
   return docs;
 }
 
-TEST_P(ThresholdTest, ThresholdOneEqualsDisjunction) {
+TEST_F(ThresholdTest, ThresholdOneEqualsDisjunction) {
   const auto all = search({"alpha", "beta", "gamma"}, 1, thresholdStream());
   EXPECT_EQ(all.size(), 4u);
 }
 
-TEST_P(ThresholdTest, ThresholdTwoDropsSingleMatches) {
+TEST_F(ThresholdTest, ThresholdTwoDropsSingleMatches) {
   const auto out = search({"alpha", "beta", "gamma"}, 2, thresholdStream());
   ASSERT_EQ(out.size(), 3u);
   for (const auto& r : out) EXPECT_GE(r.cValue, 2u);
   EXPECT_EQ(out[0].index, 7u);
 }
 
-TEST_P(ThresholdTest, ThresholdEqualsKeywordCount) {
+TEST_F(ThresholdTest, ThresholdEqualsKeywordCount) {
   const auto out = search({"alpha", "beta", "gamma"}, 3, thresholdStream());
   ASSERT_EQ(out.size(), 2u);  // docs 11 and 15 contain all three
   EXPECT_EQ(out[0].index, 11u);
   EXPECT_EQ(out[1].index, 15u);
 }
 
-TEST_P(ThresholdTest, ImpossibleThresholdYieldsNothing) {
+TEST_F(ThresholdTest, ImpossibleThresholdYieldsNothing) {
   const auto out = search({"alpha", "beta"}, 3, thresholdStream());
   EXPECT_TRUE(out.empty());  // only two keywords queried
 }
 
-TEST_P(ThresholdTest, ZeroThresholdRejected) {
+TEST_F(ThresholdTest, ZeroThresholdRejected) {
   EXPECT_THROW(search({"alpha"}, 0, thresholdStream()), InternalError);
 }
 
-TEST_P(ThresholdTest, PayloadsIntactAfterFiltering) {
+TEST_F(ThresholdTest, PayloadsIntactAfterFiltering) {
   const auto stream = thresholdStream();
   const auto out = search({"alpha", "beta", "gamma"}, 2, stream);
   for (const auto& r : out) EXPECT_EQ(r.payload, stream[r.index]);
 }
-
-INSTANTIATE_TEST_SUITE_P(PackFactor, ThresholdTest,
-                         ::testing::Values(1u, 2u, 3u));
 
 }  // namespace
 }  // namespace dpss::pss
