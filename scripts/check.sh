@@ -80,6 +80,10 @@ echo "== bench gate: pss_oneshot seed-pure counters vs BENCH_e2e.json =="
 python3 scripts/check_bench.py e2e
 
 echo
+echo "== bench gate: ana_mixed scatter fan-out vs BENCH_ana.json =="
+python3 scripts/check_bench.py ana
+
+echo
 echo "== clang-tidy: curated .clang-tidy profile over src/ TUs =="
 python3 scripts/run_clang_tidy.py --build-dir build
 

@@ -43,9 +43,15 @@ Benches:
              no failed operation, the historicals' encryptions per query
              (buffer arming) never above the baseline, and the named
              layers cover at least 90% of each query.
+  ana        perfbench/run.py ana_mixed, seed 42, --trace 1, on the real
+             multi-process cluster vs BENCH_ana.json: every query correct,
+             no failed operation, and at most 2 scatter RPCs per query,
+             one per serving node (2 historicals, or 1 realtime). The
+             RPC count is an invariant, not a ceiling: replica rotation
+             makes it differ slightly from run to run.
 
 Usage:
-    scripts/check_bench.py {e2e,pss,rebalance,scan,subs} [--bench PATH]
+    scripts/check_bench.py {ana,e2e,pss,rebalance,scan,subs} [--bench PATH]
         [--baseline PATH] [--tolerance 0.30] [--thrash-tolerance 0.25]
         [--flatness 4.0]
 """
@@ -127,6 +133,16 @@ def e2e_invariants(g: Gate, doc: dict, label: str, args) -> None:
     coverage = lookup(doc, ("metrics", "pss.layer_coverage", "value"))
     g.check(coverage >= 0.9, f"{label}: named layers cover the query",
             f"pss.layer_coverage {coverage:.3f} (floor 0.9)")
+
+
+def ana_invariants(g: Gate, doc: dict, label: str, args) -> None:
+    g.check(doc.get("correct") is True, f"{label}: every query correct",
+            f"correct={doc.get('correct')}")
+    g.check(doc.get("failed") == 0, f"{label}: no failed operation",
+            f"{doc.get('failed')} of {doc.get('attempted')} failed")
+    rpcs = lookup(doc, ("metrics", "ana.rpcs_per_query", "value"))
+    g.check(rpcs <= 2.0, f"{label}: one scatter RPC per serving node",
+            f"ana.rpcs_per_query {rpcs:.4f} (at most 2 serving nodes)")
 
 
 def subs_invariants(g: Gate, doc: dict, label: str, args) -> None:
@@ -211,6 +227,17 @@ SPECS: dict[str, dict] = {
             (("metrics", "pss.server_encrypts_per_query", "value"),
              "historical encryptions per query"),
         ],
+    },
+    "ana": {
+        "command": ["python3", "perfbench/run.py", "--workload",
+                    "ana_mixed", "--seed", "42", "--seconds", "4",
+                    "--trace", "1"],
+        "baseline": "BENCH_ana.json",
+        "structural": [
+            ("metrics", "ana.rpcs_per_query", "value"),
+            ("metrics", "ana.traced_queries", "value"),
+        ],
+        "invariants": ana_invariants,
     },
     "pss": {
         "bench": "build/bench/bench_pss_hotpath",

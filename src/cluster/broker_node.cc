@@ -31,6 +31,8 @@ const obs::MetricId kPartialQueries =
     obs::internCounter("broker.query.partial");
 const obs::MetricId kLostSegments =
     obs::internCounter("broker.scatter.lost_segments");
+const obs::MetricId kNotServed =
+    obs::internCounter("broker.scatter.not_served");
 
 }  // namespace
 
@@ -108,9 +110,9 @@ void BrokerNode::stop() {
   // Expire the session outside mu_: its watch notifications may re-enter
   // this broker's invalidateView(), which takes mu_.
   registry_.expire(session);
-  // Release the broker's pool reference outside mu_: scatter tasks take
-  // mu_ (cache probes), so joining workers under the lock would deadlock.
-  // In-flight queries hold their own pin; the pool dies with the last one.
+  // Release the broker's pool reference outside mu_, so joining its
+  // workers never waits under the lock. In-flight queries hold their own
+  // pin; the pool dies with the last one.
   pool.reset();
 }
 
@@ -196,116 +198,166 @@ BrokerQueryOutcome BrokerNode::query(const query::QuerySpec& spec) {
   outcome.segmentsQueried = targets.size();
   outcome.traceId = querySpan.traceId();
 
-  // Slow-query log bookkeeping: per-segment latency attribution shared
-  // across the scatter tasks, flushed into obs_.queryLog() on exit.
+  // Slow-query log bookkeeping: one latency entry per segment, flushed
+  // into obs_.queryLog() on exit.
   const std::uint64_t queryStartNs = obs::nowNanos();
-  Mutex statsMu;
   std::vector<obs::QuerySegmentLatency> segmentLatencies;
   std::uint64_t bytesMoved = 0;
-
-  // Scatter: one task per segment (the paper's parallel query unit).
-  // Each task returns its partial as the bytes it arrived in; the merge
-  // loop decodes them straight into the merged result.
-  // Pool workers re-enter this node's observability scope and continue
-  // the query's trace explicitly — thread-locals don't cross the pool.
-  struct SegmentReply {
-    std::string partial;  // serialized QueryResult
-    bool cacheOnMerge = false;  // a fresh, cacheable RPC reply
+  const auto attribute = [&](std::size_t i, const std::string& node,
+                             std::uint64_t latencyNs,
+                             const char* outcomeLabel) {
+    segmentLatencies.push_back(obs::QuerySegmentLatency{
+        targets[i].id.toString(), node, latencyNs, outcomeLabel});
   };
-  const obs::TraceContext traceCtx = obs::currentTraceContext();
-  std::vector<std::future<SegmentReply>> futures;
-  futures.reserve(targets.size());
-  for (const auto& target : targets) {
-    futures.push_back(pool->submit([this, target, spec, &outcome, &statsMu,
-                                    &segmentLatencies, &bytesMoved,
-                                    traceCtx]() -> SegmentReply {
-      obs::ScopedRegistry obsScope(obs_);
-      obs::TraceScope traceScope(traceCtx);
-      obs::SpanGuard scatterSpan("broker.scatter");
-      scatterSpan.tag("segment", target.id.toString());
-      const std::uint64_t taskStartNs = obs::nowNanos();
-      const auto attribute = [&](const std::string& node,
-                                 std::uint64_t latencyNs,
-                                 const char* outcomeLabel) {
-        MutexLock lock(statsMu);
-        segmentLatencies.push_back(obs::QuerySegmentLatency{
-            target.id.toString(), node, latencyNs, outcomeLabel});
-      };
-      // Historical segments are immutable, so a cached partial is always
-      // valid. Real-time segments keep the same id while events arrive —
-      // caching their scans freezes the count at whatever the first scan
-      // saw, so they always take the RPC path.
-      const bool cacheable = !target.id.mutableRealtime();
-      if (cacheable) {
-        obs::SpanGuard probeSpan("broker.cache.probe");
-        if (auto cached = cacheGet(target.cacheKey)) {
-          obs_.counter(kCacheHits).inc();
-          if (target.replicas.empty()) obs_.counter(kCacheLossServes).inc();
-          attribute("", obs::nowNanos() - taskStartNs,
-                    target.replicas.empty() ? "cache_after_loss"
-                                            : "cache_hit");
-          MutexLock lock(statsMu);
-          ++outcome.cacheHits;
-          if (target.replicas.empty()) ++outcome.servedFromCacheAfterLoss;
-          return SegmentReply{std::move(*cached), false};
+
+  // Per target: the partial as the bytes it arrived in (merged straight
+  // into the result below), or why there is none.
+  struct Answer {
+    std::optional<std::string> partial;
+    bool cacheOnMerge = false;  // a fresh, cacheable RPC reply
+    std::size_t nextReplica = 0;
+    bool lost = false;  // no replica answered and nothing cached
+  };
+  std::vector<Answer> answers(targets.size());
+  std::vector<std::size_t> pending;  // targets still to ask a node for
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    const Target& target = targets[i];
+    // Historical segments are immutable, so a cached partial is always
+    // valid. Real-time segments keep the same id while events arrive —
+    // caching their scans freezes the count at whatever the first scan
+    // saw, so they always take the RPC path.
+    if (!target.id.mutableRealtime()) {
+      obs::SpanGuard probeSpan("broker.cache.probe");
+      const std::uint64_t probeStartNs = obs::nowNanos();
+      if (auto cached = cacheGet(target.cacheKey)) {
+        obs_.counter(kCacheHits).inc();
+        ++outcome.cacheHits;
+        const bool afterLoss = target.replicas.empty();
+        if (afterLoss) {
+          obs_.counter(kCacheLossServes).inc();
+          ++outcome.servedFromCacheAfterLoss;
         }
+        attribute(i, "", obs::nowNanos() - probeStartNs,
+                  afterLoss ? "cache_after_loss" : "cache_hit");
+        answers[i].partial = std::move(*cached);
+        continue;
       }
-      if (cacheable) obs_.counter(kCacheMisses).inc();
-      for (const auto& node : target.replicas) {
-        try {
-          obs_.counter(kScatterRpcs).inc();
-          const std::uint64_t rpcStart = obs::nowNanos();
-          const SegmentQueryRequest req{target.id, spec};
-          std::string responseBytes =
-              callWithPolicy(transport_, node, req.encode(), options_.rpcPolicy);
-          const std::uint64_t rpcNs = obs::nowNanos() - rpcStart;
-          obs_.histogram(kScatterLatencyNs).observe(rpcNs);
-          scatterSpan.tag("node", node);
-          attribute(node, rpcNs, "ok");
-          {
-            MutexLock lock(statsMu);
-            bytesMoved += responseBytes.size();
-          }
-          return SegmentReply{std::move(responseBytes), cacheable};
-        } catch (const Unavailable&) {
-          continue;  // try the next replica
-        } catch (const NotFound&) {
-          continue;  // stale view: node no longer serves it
-        }
-      }
-      attribute("", obs::nowNanos() - taskStartNs, "unreachable");
-      throw Unavailable("all replicas of " + target.id.toString() +
-                        " unreachable and result not cached");
-    }));
+      obs_.counter(kCacheMisses).inc();
+    }
+    pending.push_back(i);
   }
 
-  // Drain every future before any rethrow: tasks capture references to
-  // this frame, so unwinding with tasks still running would dangle.
+  // Scatter: one RPC per serving node, listing every segment routed to
+  // it; the node scans them in parallel on its own pool. Segments the
+  // node no longer serves, and every segment of a node that is
+  // unreachable, go to their next replica in the following round, again
+  // batched by node. Pool workers re-enter this node's observability
+  // scope and continue the query's trace explicitly — thread-locals don't
+  // cross the pool.
+  struct NodeReply {
+    std::vector<SegmentScan> scans;
+    std::size_t bytes = 0;
+  };
+  const auto askNextReplica = [&](std::size_t i) {
+    ++answers[i].nextReplica;
+    pending.push_back(i);
+  };
+  const obs::TraceContext traceCtx = obs::currentTraceContext();
+  std::exception_ptr firstError;
+  while (!pending.empty()) {
+    std::map<std::string, std::vector<std::size_t>> byNode;
+    for (const std::size_t i : pending) {
+      const auto& replicas = targets[i].replicas;
+      if (answers[i].nextReplica < replicas.size()) {
+        byNode[replicas[answers[i].nextReplica]].push_back(i);
+      } else {
+        answers[i].lost = true;
+        attribute(i, "", obs::nowNanos() - queryStartNs, "unreachable");
+      }
+    }
+    pending.clear();
+    std::vector<std::future<NodeReply>> futures;
+    futures.reserve(byNode.size());
+    for (const auto& [node, batch] : byNode) {
+      futures.push_back(pool->submit([this, &spec, &targets, &node, &batch,
+                                      traceCtx]() -> NodeReply {
+        obs::ScopedRegistry obsScope(obs_);
+        obs::TraceScope traceScope(traceCtx);
+        obs::SpanGuard scatterSpan("broker.scatter");
+        scatterSpan.tag("node", node);
+        scatterSpan.tag("segments", std::to_string(batch.size()));
+        std::vector<SegmentId> ids;
+        ids.reserve(batch.size());
+        for (const std::size_t i : batch) ids.push_back(targets[i].id);
+        obs_.counter(kScatterRpcs).inc();
+        const std::uint64_t rpcStart = obs::nowNanos();
+        const std::string reply =
+            callWithPolicy(transport_, node, encodeScatterRequest(ids, spec),
+                           options_.rpcPolicy);
+        obs_.histogram(kScatterLatencyNs).observe(obs::nowNanos() - rpcStart);
+        return NodeReply{decodeScatterReply(reply, batch.size()),
+                         reply.size()};
+      }));
+    }
+    // Drain every future before any rethrow: tasks capture references to
+    // this frame, so unwinding with tasks still running would dangle.
+    std::size_t k = 0;
+    for (const auto& [node, batch] : byNode) {
+      try {
+        NodeReply reply = futures[k++].get();
+        bytesMoved += reply.bytes;
+        for (std::size_t j = 0; j < batch.size(); ++j) {
+          const std::size_t i = batch[j];
+          SegmentScan& scan = reply.scans[j];
+          if (!scan.served) {
+            // Stale view: the node no longer serves it.
+            obs_.counter(kNotServed).inc();
+            askNextReplica(i);
+            continue;
+          }
+          attribute(i, node, scan.scanNs, "ok");
+          answers[i].partial = std::move(scan.partial);
+          answers[i].cacheOnMerge = !targets[i].id.mutableRealtime();
+        }
+      } catch (const Unavailable&) {
+        for (const std::size_t i : batch) askNextReplica(i);
+      } catch (const std::future_error&) {
+        // stop() abandoned the task before a worker picked it up.
+        for (const std::size_t i : batch) {
+          answers[i].lost = true;
+          attribute(i, "", obs::nowNanos() - queryStartNs, "unreachable");
+        }
+      } catch (...) {
+        // User-level error (bad column, malformed spec) or a corrupt
+        // reply: surface after every task finished.
+        if (!firstError) firstError = std::current_exception();
+      }
+    }
+  }
+
+  // Merge in target order, so sums are bit-identical whatever order the
+  // nodes answered in.
   obs::SpanGuard mergeSpan("broker.merge");
   obs::ScopedTimer mergeTimer(obs_.histogram(kMergeNs));
   query::QueryResult merged;
   std::string firstLost;
-  std::exception_ptr firstError;
-  for (std::size_t i = 0; i < futures.size(); ++i) {
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    Answer& answer = answers[i];
+    if (answer.lost) {
+      outcome.unreachableSegments.push_back(targets[i].id);
+      if (firstLost.empty()) firstLost = targets[i].id.toString();
+      continue;
+    }
+    if (!answer.partial) continue;  // its node failed with firstError
     try {
-      SegmentReply reply = futures[i].get();
-      ByteReader reader(reply.partial);
+      ByteReader reader(*answer.partial);
       merged.mergeSerialized(reader);
       // Cache only what decoded: a corrupt reply must not answer later
       // queries too.
-      if (reply.cacheOnMerge) {
-        cachePut(targets[i].cacheKey, std::move(reply.partial));
+      if (answer.cacheOnMerge) {
+        cachePut(targets[i].cacheKey, std::move(*answer.partial));
       }
-    } catch (const Unavailable&) {
-      outcome.unreachableSegments.push_back(targets[i].id);
-      if (firstLost.empty()) firstLost = targets[i].id.toString();
-    } catch (const std::future_error&) {
-      // stop() abandoned the task before a worker picked it up.
-      outcome.unreachableSegments.push_back(targets[i].id);
-      if (firstLost.empty()) firstLost = targets[i].id.toString();
     } catch (...) {
-      // User-level error (bad column, malformed spec) or a corrupt
-      // partial: surface after all tasks finished.
       if (!firstError) firstError = std::current_exception();
     }
   }
@@ -325,7 +377,6 @@ BrokerQueryOutcome BrokerNode::query(const query::QuerySpec& spec) {
       rec.unreachableSegments.push_back(id.toString());
     }
     rec.error = error;
-    MutexLock lock(statsMu);
     rec.bytesMoved = bytesMoved;
     rec.segments = segmentLatencies;
     obs_.queryLog().record(std::move(rec));

@@ -3,9 +3,12 @@
 //
 // The broker builds its global view from the registry: which queryable
 // nodes exist and which segments each serves. Per data source it derives
-// the versioned timeline (query/timeline.h) and routes one RPC per
-// visible segment to a serving node, scattering across replicas, then
-// merges the partials and finalizes.
+// the versioned timeline (query/timeline.h), picks a replica for every
+// visible segment (rotating across replicas) and sends each chosen node
+// one RPC listing all of its segments. Segments a node no longer serves,
+// and all segments of an unreachable node, go to their next replicas,
+// again one RPC per node. The broker then merges the per-segment
+// partials in timeline order and finalizes.
 //
 // The result cache keys on (segment id, query fingerprint). When every
 // replica of a segment is unreachable, a cached partial still answers —
@@ -40,7 +43,7 @@ namespace dpss::cluster {
 class SubscriptionBroker;
 
 struct BrokerOptions {
-  std::size_t scatterThreads = 16;   // parallel per-segment RPCs
+  std::size_t scatterThreads = 16;   // parallel scatter RPCs, one per node
   std::size_t resultCacheCapacity = 4096;  // cached (segment, query) entries
   /// Retry/backoff/deadline policy for every outbound RPC (segment
   /// scatter, PSS info/search probes).

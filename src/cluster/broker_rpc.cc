@@ -62,8 +62,7 @@ BrokerQueryOutcome decodeBrokerQueryOutcome(const std::string& bytes) {
   outcome.segmentsQueried = static_cast<std::size_t>(r.varint());
   outcome.cacheHits = static_cast<std::size_t>(r.varint());
   outcome.servedFromCacheAfterLoss = static_cast<std::size_t>(r.varint());
-  // A SegmentId is two strings, two i64 and a u32: at least 22 bytes.
-  const std::uint64_t n = r.count(22);
+  const std::uint64_t n = r.count(storage::SegmentId::kMinWireBytes);
   outcome.unreachableSegments.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     outcome.unreachableSegments.push_back(storage::SegmentId::deserialize(r));

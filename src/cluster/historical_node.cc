@@ -439,39 +439,66 @@ std::string HistoricalNode::handleRpc(const std::string& request) {
 
   if (tag == rpc::kQuerySegment) {
     obs::SpanGuard rpcSpan("historical.query_segment");
-    const auto req = SegmentQueryRequest::decode(body);
-    rpcSpan.tag("segment", req.segment.toString());
-    SegmentPtr segment;
+    const auto req = decodeScatterRequest(body);
+    rpcSpan.tag("segments", std::to_string(req.segments.size()));
+    // nullptr marks a segment this node does not serve (any more).
+    std::vector<SegmentPtr> segments(req.segments.size());
     std::shared_ptr<ThreadPool> pool;
     {
       MutexLock lock(mu_);
-      const auto it = served_.find(req.segment);
-      if (it == served_.end()) {
-        throw NotFound("segment not served here: " + req.segment.toString());
+      for (std::size_t i = 0; i < segments.size(); ++i) {
+        const auto it = served_.find(req.segments[i]);
+        if (it != served_.end()) segments[i] = it->second;
       }
-      segment = it->second;
       pool = pool_;  // pin across a concurrent crash()/stop()
     }
     if (pool == nullptr) throw Unavailable("node stopping: " + name_);
-    // The scan runs on the node's bounded pool: with many concurrent
-    // segment RPCs the pool enforces the paper's threads-per-node cap.
+    // One task per served segment on the node's bounded pool ("one thread
+    // scans a segment"); the pool enforces the paper's threads-per-node
+    // cap across concurrent requests. The handler drains every future
+    // before it returns or rethrows, so the tasks may borrow `req`.
     const obs::TraceContext traceCtx = obs::currentTraceContext();
-    auto fut = pool->submit([this, segment, spec = req.spec, traceCtx] {
-      obs::ScopedRegistry scanScope(obs_);
-      obs::TraceScope traceScope(traceCtx);
-      obs::SpanGuard scanSpan("historical.scan.segment");
-      obs_.counter(kSegmentsScanned).inc();
-      obs::ScopedTimer scanTimer(obs_.histogram(kScanNs));
-      return query::scanSegment(*segment, spec);
-    });
-    ByteWriter w;
-    try {
-      fut.get().serialize(w);
-    } catch (const std::future_error&) {
-      // The pool died under us anyway; to the caller this is a node loss.
-      throw Unavailable("node stopped mid-scan: " + name_);
+    std::vector<std::future<SegmentScan>> futures(segments.size());
+    for (std::size_t i = 0; i < segments.size(); ++i) {
+      if (segments[i] == nullptr) continue;
+      futures[i] = pool->submit([this, &req, segment = segments[i],
+                                 traceCtx] {
+        obs::ScopedRegistry scanScope(obs_);
+        obs::TraceScope traceScope(traceCtx);
+        query::QueryResult partial;
+        std::uint64_t scanNs = 0;
+        {
+          obs::SpanGuard scanSpan("historical.scan.segment");
+          obs_.counter(kSegmentsScanned).inc();
+          const std::uint64_t startNs = obs::nowNanos();
+          partial = query::scanSegment(*segment, req.spec);
+          scanNs = obs::nowNanos() - startNs;
+        }
+        obs_.histogram(kScanNs).observe(scanNs);
+        ByteWriter w;
+        partial.serialize(w);
+        return SegmentScan{true, scanNs, w.take()};
+      });
     }
-    return w.take();
+    std::vector<SegmentScan> scans(segments.size());
+    std::exception_ptr firstError;
+    for (std::size_t i = 0; i < futures.size(); ++i) {
+      if (!futures[i].valid()) continue;  // not served: flag stays false
+      try {
+        scans[i] = futures[i].get();
+      } catch (const std::future_error&) {
+        // The pool died under us anyway; to the caller this is a node
+        // loss.
+        if (!firstError) {
+          firstError = std::make_exception_ptr(
+              Unavailable("node stopped mid-scan: " + name_));
+        }
+      } catch (...) {
+        if (!firstError) firstError = std::current_exception();
+      }
+    }
+    if (firstError) std::rethrow_exception(firstError);
+    return encodeScatterReply(scans);
   }
 
   if (tag == rpc::kPssInfo) {

@@ -7,9 +7,11 @@
 // served segment under the node's announcement path — at which point the
 // segment is queryable.
 //
-// Queries arrive over the transport as one RPC per segment; each scan is
-// executed on the node's bounded worker pool ("one thread scan a
-// segment", 15 workers in the paper's test configuration).
+// A query arrives over the transport as one RPC listing every segment
+// the broker routed to this node; each listed segment is scanned as its
+// own task on the node's bounded worker pool ("one thread scan a
+// segment", 15 workers in the paper's test configuration), and the reply
+// carries each segment's partial, or a not-served flag, in request order.
 //
 // For the private-search integration the node can also hold a slice of a
 // document stream and run the broker-shipped encrypted query over it,

@@ -512,38 +512,45 @@ std::string RealtimeNode::handleRpc(const std::string& request) {
   }
   if (tag != rpc::kQuerySegment) throw CorruptData("unsupported rpc");
   obs::SpanGuard rpcSpan("realtime.query_segment");
-  const auto req = SegmentQueryRequest::decode(request.substr(1));
-  rpcSpan.tag("segment", req.segment.toString());
+  const auto req = decodeScatterRequest(std::string_view(request).substr(1));
+  rpcSpan.tag("segments", std::to_string(req.segments.size()));
 
   // "The real-time compute node maintains a comprehensive view of the
   // current index being updated and of all indexes persisted to disk.
   // This comprehensive view allows all indexes on a node to be queried."
-  const TimeMs bucket = req.segment.interval.start();
-  std::vector<SegmentPtr> view;
-  {
-    MutexLock lock(mu_);
-    const auto diskIt = disk_.persisted.find(bucket);
-    if (diskIt != disk_.persisted.end()) {
-      view = diskIt->second;
+  // A bucket with no index yet answers an empty partial, so every listed
+  // segment is served.
+  std::vector<SegmentScan> scans;
+  scans.reserve(req.segments.size());
+  for (const auto& id : req.segments) {
+    const TimeMs bucket = id.interval.start();
+    std::vector<SegmentPtr> view;
+    {
+      MutexLock lock(mu_);
+      const auto diskIt = disk_.persisted.find(bucket);
+      if (diskIt != disk_.persisted.end()) {
+        view = diskIt->second;
+      }
+      const auto liveIt = live_.find(bucket);
+      if (liveIt != live_.end() && liveIt->second != nullptr &&
+          !liveIt->second->empty()) {
+        view.push_back(liveIt->second->snapshot(id));
+      }
     }
-    const auto liveIt = live_.find(bucket);
-    if (liveIt != live_.end() && liveIt->second != nullptr &&
-        !liveIt->second->empty()) {
-      view.push_back(liveIt->second->snapshot(req.segment));
-    }
-  }
-  query::QueryResult result;
-  {
-    obs::ScopedTimer scanTimer(obs_.histogram(kScanNs));
+    query::QueryResult result;
+    const std::uint64_t startNs = obs::nowNanos();
     for (const auto& part : view) {
       result.mergeFrom(query::scanSegment(*part, req.spec));
     }
+    const std::uint64_t scanNs = obs::nowNanos() - startNs;
+    obs_.histogram(kScanNs).observe(scanNs);
+    if (!view.empty()) obs_.counter(kScanCount).inc();
+    result.segmentsScanned = view.empty() ? 0 : 1;
+    ByteWriter w;
+    result.serialize(w);
+    scans.push_back(SegmentScan{true, scanNs, w.take()});
   }
-  if (!view.empty()) obs_.counter(kScanCount).inc();
-  result.segmentsScanned = view.empty() ? 0 : 1;
-  ByteWriter w;
-  result.serialize(w);
-  return w.take();
+  return encodeScatterReply(scans);
 }
 
 }  // namespace dpss::cluster

@@ -183,7 +183,8 @@ std::string SubscriptionBroker::handleRpc(const std::string& request) {
                               std::to_string(sub));
       }
       const pss::SubscriptionId id = r.varint();
-      const std::uint64_t n = r.varint();
+      // Each ack is a node name (at least its length byte) and a u64.
+      const std::uint64_t n = r.count(9);
       std::map<std::string, std::uint64_t> acks;
       for (std::uint64_t i = 0; i < n; ++i) {
         std::string node = std::string(r.str());

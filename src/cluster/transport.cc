@@ -1,6 +1,5 @@
 #include "cluster/transport.h"
 
-#include "cluster/rpc_policy.h"
 #include "common/bytes.h"
 #include "common/error.h"
 #include "common/hash.h"
@@ -201,31 +200,60 @@ std::uint64_t Transport::callCount() const {
   return calls_;
 }
 
-std::string SegmentQueryRequest::encode() const {
+std::string encodeScatterRequest(
+    const std::vector<storage::SegmentId>& segments,
+    const query::QuerySpec& spec) {
   ByteWriter w;
   w.u8(rpc::kQuerySegment);
-  segment.serialize(w);
+  w.varint(segments.size());
+  for (const auto& id : segments) id.serialize(w);
   spec.serialize(w);
   return w.take();
 }
 
-SegmentQueryRequest SegmentQueryRequest::decode(const std::string& bytes) {
+ScatterRequest decodeScatterRequest(std::string_view bytes) {
   ByteReader r(bytes);
-  SegmentQueryRequest req;
-  req.segment = storage::SegmentId::deserialize(r);
+  ScatterRequest req;
+  const std::uint64_t n = r.count(storage::SegmentId::kMinWireBytes);
+  req.segments.reserve(n);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    req.segments.push_back(storage::SegmentId::deserialize(r));
+  }
   req.spec = query::QuerySpec::deserialize(r);
+  if (!r.done()) throw CorruptData("trailing bytes after scatter request");
   return req;
 }
 
-query::QueryResult callQuerySegment(TransportIface& transport,
-                                    const std::string& nodeName,
-                                    const storage::SegmentId& segment,
-                                    const query::QuerySpec& spec) {
-  SegmentQueryRequest req{segment, spec};
-  const std::string responseBytes =
-      callWithPolicy(transport, nodeName, req.encode());
-  ByteReader r(responseBytes);
-  return query::QueryResult::deserialize(r);
+std::string encodeScatterReply(const std::vector<SegmentScan>& scans) {
+  ByteWriter w;
+  w.varint(scans.size());
+  for (const auto& scan : scans) {
+    w.u8(scan.served ? 1 : 0);
+    w.varint(scan.scanNs);
+    if (scan.served) w.str(scan.partial);
+  }
+  return w.take();
+}
+
+std::vector<SegmentScan> decodeScatterReply(std::string_view bytes,
+                                            std::size_t expected) {
+  ByteReader r(bytes);
+  // Every scan costs at least its flag byte and a one-byte scan time.
+  const std::uint64_t n = r.count(2);
+  if (n != expected) {
+    throw CorruptData("scatter reply holds " + std::to_string(n) +
+                      " scans for " + std::to_string(expected) + " segments");
+  }
+  std::vector<SegmentScan> scans(n);
+  for (auto& scan : scans) {
+    const std::uint8_t served = r.u8();
+    if (served > 1) throw CorruptData("bad served flag in scatter reply");
+    scan.served = served == 1;
+    scan.scanNs = r.varint();
+    if (scan.served) scan.partial = r.str();
+  }
+  if (!r.done()) throw CorruptData("trailing bytes after scatter reply");
+  return scans;
 }
 
 }  // namespace dpss::cluster

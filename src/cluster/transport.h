@@ -25,6 +25,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/clock.h"
@@ -181,7 +182,7 @@ class Transport final : public TransportIface {
 
 namespace rpc {
 /// First byte of every request selects the operation.
-constexpr std::uint8_t kQuerySegment = 1;  // scan one served segment
+constexpr std::uint8_t kQuerySegment = 1;  // scan the listed segments
 constexpr std::uint8_t kPssInfo = 2;       // describe a document slice
 constexpr std::uint8_t kPssSearch = 3;     // run encrypted query on a slice
 // 4 is retired; never reuse it (an older peer may still send it).
@@ -195,19 +196,35 @@ constexpr std::uint8_t kUnsubscribe = 11;  // retire a subscription
 constexpr std::uint8_t kSnapshot = 12;     // fetch sealed snapshots (acked)
 }  // namespace rpc
 
-/// Request to scan one served segment.
-struct SegmentQueryRequest {
-  storage::SegmentId segment;
+/// One scatter request: every segment the broker routes to one node for
+/// one query, with the spec once.
+struct ScatterRequest {
+  std::vector<storage::SegmentId> segments;
   query::QuerySpec spec;
+};
+/// Includes the rpc::kQuerySegment tag.
+std::string encodeScatterRequest(
+    const std::vector<storage::SegmentId>& segments,
+    const query::QuerySpec& spec);
+/// Decodes the bytes after the tag.
+ScatterRequest decodeScatterRequest(std::string_view bytes);
 
-  std::string encode() const;  // includes the rpc::kQuerySegment tag
-  static SegmentQueryRequest decode(const std::string& bytes);  // after tag
+/// A node's answer for one requested segment.
+struct SegmentScan {
+  /// False when the node does not serve the segment (the broker's view
+  /// was stale); the broker then asks the segment's next replica.
+  bool served = false;
+  /// The node's own time for the scan, for the slow-query log.
+  std::uint64_t scanNs = 0;
+  /// The segment's serialized QueryResult; empty when not served.
+  std::string partial;
 };
 
-/// Issues a segment-scan RPC and decodes the partial result.
-query::QueryResult callQuerySegment(TransportIface& transport,
-                                    const std::string& nodeName,
-                                    const storage::SegmentId& segment,
-                                    const query::QuerySpec& spec);
+/// The reply to a ScatterRequest: one SegmentScan per requested segment,
+/// in request order.
+std::string encodeScatterReply(const std::vector<SegmentScan>& scans);
+/// Throws CorruptData unless the reply holds exactly `expected` scans.
+std::vector<SegmentScan> decodeScatterReply(std::string_view bytes,
+                                            std::size_t expected);
 
 }  // namespace dpss::cluster

@@ -554,7 +554,8 @@ void RemoteRegistry::heartbeatNow() {
 void RemoteRegistry::syncNow() {
   OwnedByteReader resp(call(subRequest(substrate_op::kRegSnapshot).take()));
   const std::uint64_t version = resp.u64();
-  const std::uint64_t n = resp.varint();
+  // Each entry is two strings (a length byte each) and a flag byte.
+  const std::uint64_t n = resp.count(3);
   std::vector<RegistryEntry> entries;
   entries.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
@@ -741,7 +742,7 @@ void RemoteDeepStorage::remove(const std::string& key) {
 
 std::vector<std::string> RemoteDeepStorage::list() {
   OwnedByteReader resp(call(subRequest(substrate_op::kDsList).take()));
-  const std::uint64_t n = resp.varint();
+  const std::uint64_t n = resp.count(1);  // a length byte per key
   std::vector<std::string> out;
   out.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) out.push_back(resp.str());

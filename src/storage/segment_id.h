@@ -3,6 +3,7 @@
 // increases whenever a new segment is created, and a partition number."
 #pragma once
 
+#include <cstddef>
 #include <string>
 
 #include "common/bytes.h"
@@ -30,6 +31,8 @@ struct SegmentId {
 
   void serialize(ByteWriter& w) const;
   static SegmentId deserialize(ByteReader& r);
+  /// Two strings, two i64 and a u32: the fewest bytes an encoding takes.
+  static constexpr std::size_t kMinWireBytes = 22;
 
   friend bool operator==(const SegmentId& a, const SegmentId& b) = default;
   /// Lexicographic on (dataSource, interval, version, partition).

@@ -1,16 +1,21 @@
-// Forged item counts on the client-facing RPCs, on span shipping and in
-// the metastore row codec (substrate replies, journal and snapshot
-// files): a sender that declares 2^62 envelopes, words, rows, values,
-// segments, snapshots, ids, spans or metastore records must get a typed
-// CorruptData before anything is sized by the count.
+// Forged item counts on the client-facing RPCs, on the broker's scatter
+// RPC, on span shipping and in the metastore row codec (substrate
+// replies, journal and snapshot files): a sender that declares 2^62
+// envelopes, words, rows, values, segments, scans, snapshots, acks, ids,
+// spans or metastore records must get a typed CorruptData before
+// anything is sized by the count.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "cluster/broker_rpc.h"
+#include "cluster/cluster.h"
 #include "cluster/meta_codec.h"
 #include "cluster/span_ship.h"
+#include "cluster/subscription_broker.h"
 #include "cluster/subscription_rpc.h"
 #include "cluster/transport.h"
 #include "common/bytes.h"
@@ -103,6 +108,66 @@ TEST(ClientRpcDecode, ForgedSpanShipCountIsCorruptData) {
   obs::TraceCollector collector;
   EXPECT_THROW(handleSpansRpc(collector, w.take()), CorruptData);
   EXPECT_TRUE(collector.spansFor(0).empty());
+}
+
+TEST(ClientRpcDecode, ScatterRequestAndReplyRoundTrip) {
+  query::QuerySpec spec;
+  spec.dataSource = "ds";
+  spec.interval = Interval(0, 10);
+  spec.aggregations = {query::countAgg("cnt")};
+  const std::vector<storage::SegmentId> ids = {
+      storage::SegmentId{"ds", Interval(0, 5), "v1", 0},
+      storage::SegmentId{"ds", Interval(5, 10), "v1", 2}};
+  const std::string request = encodeScatterRequest(ids, spec);
+  ASSERT_EQ(static_cast<std::uint8_t>(request[0]), rpc::kQuerySegment);
+  const ScatterRequest back =
+      decodeScatterRequest(std::string_view(request).substr(1));
+  EXPECT_EQ(back.segments, ids);
+  EXPECT_EQ(back.spec.fingerprint(), spec.fingerprint());
+
+  const std::vector<SegmentScan> scans = {{true, 1234, "partial"},
+                                          {false, 0, ""}};
+  const auto decoded = decodeScatterReply(encodeScatterReply(scans), 2);
+  ASSERT_EQ(decoded.size(), 2u);
+  EXPECT_TRUE(decoded[0].served);
+  EXPECT_EQ(decoded[0].scanNs, 1234u);
+  EXPECT_EQ(decoded[0].partial, "partial");
+  EXPECT_FALSE(decoded[1].served);
+}
+
+TEST(ClientRpcDecode, ForgedScatterRequestCountIsCorruptData) {
+  ByteWriter w;
+  w.varint(kForged);
+  storage::SegmentId{"ds", Interval(0, 10), "v1", 0}.serialize(w);
+  EXPECT_THROW(decodeScatterRequest(w.take()), CorruptData);
+}
+
+TEST(ClientRpcDecode, ForgedScatterReplyCountIsCorruptData) {
+  ByteWriter forged;
+  forged.varint(kForged);
+  forged.u8(1);
+  forged.varint(5);
+  forged.str("partial");
+  EXPECT_THROW(decodeScatterReply(forged.take(), 1), CorruptData);
+
+  // A well-formed reply for a different number of segments.
+  const std::string two =
+      encodeScatterReply({{false, 0, ""}, {false, 0, ""}});
+  EXPECT_THROW(decodeScatterReply(two, 1), CorruptData);
+  EXPECT_THROW(decodeScatterReply(two, 3), CorruptData);
+}
+
+TEST(ClientRpcDecode, ForgedSnapshotAckCountIsCorruptData) {
+  ManualClock clock(1'400'000'000'000);
+  Cluster cluster(clock, {.historicalNodes = 1});
+  ByteWriter w;
+  w.u8(rpc::kSnapshot);
+  w.u8(subrpc::kCollect);
+  w.varint(1);  // subscription id
+  w.varint(kForged);
+  w.str("rt-0");
+  w.u64(3);
+  EXPECT_THROW(cluster.subscriptionBroker().handleRpc(w.take()), CorruptData);
 }
 
 TEST(MetaCodecDecode, ForgedSegmentRecordCountIsCorruptData) {

@@ -199,7 +199,8 @@ TEST_F(FailureTest, DuplicateDeliveryIsIdempotent) {
   cluster.transport().clearChaos();
 
   const auto stats = cluster.collectStats();
-  EXPECT_GE(stats.counterTotal("transport.chaos.duplicates"), 4u);
+  // One scatter RPC per serving node, each delivered twice.
+  EXPECT_GE(stats.counterTotal("transport.chaos.duplicates"), 2u);
 }
 
 TEST_F(FailureTest, PartialResultWhenStrictMinorityPartitioned) {

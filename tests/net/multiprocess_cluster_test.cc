@@ -42,14 +42,21 @@
 namespace dpss::net {
 namespace {
 
-/// Reserves a free loopback port by binding port 0 and releasing it.
-/// (Small reuse race, irrelevant on a loopback test box.)
-std::uint16_t freePort() {
-  Fd probe = listenOn("127.0.0.1", 0);
-  const std::uint16_t port = boundPort(probe);
-  probe.reset();
-  return port;
+/// Picks `n` free loopback ports by binding port 0. Every probe stays
+/// bound until all of them are picked, so no two coincide; another
+/// process can still take one before its node binds it (see bootCluster).
+std::vector<std::uint16_t> freePorts(std::size_t n) {
+  std::vector<Fd> probes;
+  std::vector<std::uint16_t> ports;
+  for (std::size_t i = 0; i < n; ++i) {
+    probes.push_back(listenOn("127.0.0.1", 0));
+    ports.push_back(boundPort(probes.back()));
+  }
+  return ports;
 }
+
+/// Static routes: node name -> loopback port.
+using Wiring = std::vector<std::pair<std::string, std::uint16_t>>;
 
 /// Minimal HTTP client for the admin plane: one GET, read to close.
 std::string httpGet(Clock& clock, std::uint16_t port,
@@ -116,29 +123,70 @@ class MultiprocessClusterTest : public ::testing::Test {
     names_.push_back(name);
   }
 
+  /// The latest process spawned under `name` (a restart reuses it).
   Subprocess& proc(const std::string& name) {
-    for (std::size_t i = 0; i < names_.size(); ++i) {
+    for (std::size_t i = names_.size(); i-- > 0;) {
       if (names_[i] == name) return procs_[i];
     }
     throw NotFound("no such process: " + name);
   }
 
   /// Waits until the role's control channel answers (process up + bound).
-  void awaitReady(NetTransport& driver, const std::string& name,
+  /// False if the process exited, or (recorded as a failure) if the
+  /// budget ran out. A node whose port was taken exits at once, so the
+  /// process is checked before each ping and after the answer: another
+  /// process now holding that port may be the one answering.
+  bool awaitReady(NetTransport& driver, const std::string& name,
                   TimeMs budgetMs = 15'000) {
     const TimeMs deadline = clock_.nowMs() + budgetMs;
-    while (true) {
+    while (proc(name).running()) {
       try {
         controlPing(driver, name);
-        return;
+        return proc(name).running();
       } catch (const Error&) {
         if (clock_.nowMs() >= deadline) {
-          FAIL() << "process '" << name << "' never became ready";
-          return;
+          ADD_FAILURE() << "process '" << name << "' never became ready";
+          return false;
         }
         clock_.sleepFor(50);
       }
     }
+    return false;
+  }
+
+  /// Boots a test's processes: `spawn` launches them on the `portCount`
+  /// ports it is given and returns their static routes, which the driver
+  /// learns; then every process in `ready` must answer. A port probed
+  /// free can be taken by another process before its node binds it, and
+  /// that node exits at once (`Address already in use`): the whole boot
+  /// is then killed and respawned on fresh ports, at most 3 times.
+  bool bootCluster(NetTransport& driver, std::size_t portCount,
+                   const std::vector<std::string>& ready,
+                   const std::function<Wiring(const std::vector<std::uint16_t>&)>&
+                       spawn) {
+    for (int attempt = 1; attempt <= 3; ++attempt) {
+      const Wiring wiring = spawn(freePorts(portCount));
+      for (const auto& [name, port] : wiring) {
+        driver.addPeer(name, "127.0.0.1:" + std::to_string(port));
+        driver.addPeer(name + ".ctl", "127.0.0.1:" + std::to_string(port));
+      }
+      std::string exited;
+      for (const auto& name : ready) {
+        if (awaitReady(driver, name)) continue;
+        if (proc(name).running()) return false;  // timed out (recorded)
+        exited = name;
+        break;
+      }
+      if (exited.empty()) return true;
+      std::fprintf(stderr,
+                   "boot %d: '%s' exited with status %d; respawning on "
+                   "fresh ports\n",
+                   attempt, exited.c_str(), proc(exited).wait());
+      procs_.clear();  // SIGKILL + reap
+      names_.clear();
+    }
+    ADD_FAILURE() << "no boot came up in 3 attempts";
+    return false;
   }
 
   /// Polls `condition` until true or the budget elapses.
@@ -158,40 +206,31 @@ class MultiprocessClusterTest : public ::testing::Test {
 };
 
 TEST_F(MultiprocessClusterTest, FiveProcessesAnswerQueriesAndPss) {
-  const std::uint16_t coordPort = freePort();
-  const std::uint16_t histAPort = freePort();
-  const std::uint16_t histBPort = freePort();
-  const std::uint16_t rtPort = freePort();
-  const std::uint16_t brokerPort = freePort();
-
-  const std::vector<std::pair<std::string, std::uint16_t>> wiring = {
-      {"substrate", coordPort}, {"coordinator", coordPort},
-      {"hist-a", histAPort},    {"hist-b", histBPort},
-      {"rt-0", rtPort},         {"broker", brokerPort},
-  };
-
-  spawnRole("coordinator", "coordinator", coordPort, wiring);
-  spawnRole("historical", "hist-a", histAPort, wiring);
-  spawnRole("historical", "hist-b", histBPort, wiring);
-  spawnRole("realtime", "rt-0", rtPort, wiring,
-            {"--data-source", "rt-events"});
-  // The result cache is disabled so the kill-one-historical phase below
-  // observes a genuine partial result, not a cached serve.
-  spawnRole("broker", "broker", brokerPort, wiring, {"--broker-cache", "0"});
-
   // The driver is a sixth participant on the same wire: its transport
   // routes to every process, its substrate proxies publish data, and its
   // RemoteBroker runs queries — nothing in this test short-circuits.
   NetTransport driver(clock_);
   driver.start();
-  for (const auto& [name, port] : wiring) {
-    driver.addPeer(name, "127.0.0.1:" + std::to_string(port));
-    driver.addPeer(name + ".ctl", "127.0.0.1:" + std::to_string(port));
-  }
-  for (const auto& name :
-       {"coordinator", "hist-a", "hist-b", "rt-0", "broker"}) {
-    awaitReady(driver, name);
-  }
+  ASSERT_TRUE(bootCluster(
+      driver, 5, {"coordinator", "hist-a", "hist-b", "rt-0", "broker"},
+      [&](const std::vector<std::uint16_t>& ports) {
+        const std::uint16_t coordPort = ports[0];
+        const Wiring wiring = {
+            {"substrate", coordPort}, {"coordinator", coordPort},
+            {"hist-a", ports[1]},     {"hist-b", ports[2]},
+            {"rt-0", ports[3]},       {"broker", ports[4]},
+        };
+        spawnRole("coordinator", "coordinator", coordPort, wiring);
+        spawnRole("historical", "hist-a", ports[1], wiring);
+        spawnRole("historical", "hist-b", ports[2], wiring);
+        spawnRole("realtime", "rt-0", ports[3], wiring,
+                  {"--data-source", "rt-events"});
+        // The result cache is disabled so the kill-one-historical phase
+        // below observes a genuine partial result, not a cached serve.
+        spawnRole("broker", "broker", ports[4], wiring,
+                  {"--broker-cache", "0"});
+        return wiring;
+      }));
 
   cluster::RpcPolicy rpc;
   rpc.maxAttempts = 3;
@@ -353,44 +392,40 @@ TEST_F(MultiprocessClusterTest, FiveProcessesAnswerQueriesAndPss) {
 // captures an injected-crash partial query with its unreachable
 // segments.
 TEST_F(MultiprocessClusterTest, AdminPlaneAssemblesCrossProcessTraces) {
-  const std::uint16_t coordPort = freePort();
-  const std::uint16_t histAPort = freePort();
-  const std::uint16_t histBPort = freePort();
-  const std::uint16_t brokerPort = freePort();
-  const std::uint16_t coordAdmin = freePort();
-  const std::uint16_t histAAdmin = freePort();
-  const std::uint16_t histBAdmin = freePort();
-  const std::uint16_t brokerAdmin = freePort();
-
-  const std::vector<std::pair<std::string, std::uint16_t>> wiring = {
-      {"substrate", coordPort},
-      {"coordinator", coordPort},
-      {"hist-a", histAPort},
-      {"hist-b", histBPort},
-      {"broker", brokerPort},
-  };
-
-  spawnRole("coordinator", "coordinator", coordPort, wiring,
-            {"--admin-port", std::to_string(coordAdmin)});
-  spawnRole("historical", "hist-a", histAPort, wiring,
-            {"--admin-port", std::to_string(histAAdmin)});
-  spawnRole("historical", "hist-b", histBPort, wiring,
-            {"--admin-port", std::to_string(histBAdmin)});
-  // Cache off so the kill phase below produces a genuine partial result
-  // for the slow-query log, not a cached serve.
-  spawnRole("broker", "broker", brokerPort, wiring,
-            {"--broker-cache", "0", "--admin-port",
-             std::to_string(brokerAdmin)});
-
+  std::uint16_t coordAdmin = 0;
+  std::uint16_t histAAdmin = 0;
+  std::uint16_t histBAdmin = 0;
+  std::uint16_t brokerAdmin = 0;
   NetTransport driver(clock_);
   driver.start();
-  for (const auto& [name, port] : wiring) {
-    driver.addPeer(name, "127.0.0.1:" + std::to_string(port));
-    driver.addPeer(name + ".ctl", "127.0.0.1:" + std::to_string(port));
-  }
-  for (const auto& name : {"coordinator", "hist-a", "hist-b", "broker"}) {
-    awaitReady(driver, name);
-  }
+  ASSERT_TRUE(bootCluster(
+      driver, 8, {"coordinator", "hist-a", "hist-b", "broker"},
+      [&](const std::vector<std::uint16_t>& ports) {
+        const std::uint16_t coordPort = ports[0];
+        coordAdmin = ports[4];
+        histAAdmin = ports[5];
+        histBAdmin = ports[6];
+        brokerAdmin = ports[7];
+        const Wiring wiring = {
+            {"substrate", coordPort},
+            {"coordinator", coordPort},
+            {"hist-a", ports[1]},
+            {"hist-b", ports[2]},
+            {"broker", ports[3]},
+        };
+        spawnRole("coordinator", "coordinator", coordPort, wiring,
+                  {"--admin-port", std::to_string(coordAdmin)});
+        spawnRole("historical", "hist-a", ports[1], wiring,
+                  {"--admin-port", std::to_string(histAAdmin)});
+        spawnRole("historical", "hist-b", ports[2], wiring,
+                  {"--admin-port", std::to_string(histBAdmin)});
+        // Cache off so the kill phase below produces a genuine partial
+        // result for the slow-query log, not a cached serve.
+        spawnRole("broker", "broker", ports[3], wiring,
+                  {"--broker-cache", "0", "--admin-port",
+                   std::to_string(brokerAdmin)});
+        return wiring;
+      }));
 
   cluster::RpcPolicy rpc;
   rpc.maxAttempts = 3;
@@ -602,34 +637,29 @@ TEST_F(MultiprocessClusterTest, AdminPlaneAssemblesCrossProcessTraces) {
 // time; not a single request may be dropped, and every drained process
 // must exit 0 on its own once its segments are re-replicated.
 TEST_F(MultiprocessClusterTest, ElasticScaleOutAndDrainUnderLoad) {
-  const std::uint16_t coordPort = freePort();
-  const std::uint16_t histAPort = freePort();
-  const std::uint16_t histBPort = freePort();
-  const std::uint16_t brokerPort = freePort();
-
-  const std::vector<std::pair<std::string, std::uint16_t>> wiring = {
-      {"substrate", coordPort},
-      {"coordinator", coordPort},
-      {"hist-a", histAPort},
-      {"hist-b", histBPort},
-      {"broker", brokerPort},
-  };
-  spawnRole("coordinator", "coordinator", coordPort, wiring);
-  spawnRole("historical", "hist-a", histAPort, wiring);
-  spawnRole("historical", "hist-b", histBPort, wiring);
-  // Cache off: every query below must hit the live timeline, so a lost
-  // segment can never hide behind a cached serve.
-  spawnRole("broker", "broker", brokerPort, wiring, {"--broker-cache", "0"});
-
+  std::uint16_t coordPort = 0;
   NetTransport driver(clock_);
   driver.start();
-  for (const auto& [name, port] : wiring) {
-    driver.addPeer(name, "127.0.0.1:" + std::to_string(port));
-    driver.addPeer(name + ".ctl", "127.0.0.1:" + std::to_string(port));
-  }
-  for (const auto& name : {"coordinator", "hist-a", "hist-b", "broker"}) {
-    awaitReady(driver, name);
-  }
+  ASSERT_TRUE(bootCluster(
+      driver, 4, {"coordinator", "hist-a", "hist-b", "broker"},
+      [&](const std::vector<std::uint16_t>& ports) {
+        coordPort = ports[0];
+        const Wiring wiring = {
+            {"substrate", coordPort},
+            {"coordinator", coordPort},
+            {"hist-a", ports[1]},
+            {"hist-b", ports[2]},
+            {"broker", ports[3]},
+        };
+        spawnRole("coordinator", "coordinator", coordPort, wiring);
+        spawnRole("historical", "hist-a", ports[1], wiring);
+        spawnRole("historical", "hist-b", ports[2], wiring);
+        // Cache off: every query below must hit the live timeline, so a
+        // lost segment can never hide behind a cached serve.
+        spawnRole("broker", "broker", ports[3], wiring,
+                  {"--broker-cache", "0"});
+        return wiring;
+      }));
 
   cluster::RpcPolicy rpc;
   rpc.maxAttempts = 3;
@@ -707,18 +737,19 @@ TEST_F(MultiprocessClusterTest, ElasticScaleOutAndDrainUnderLoad) {
 
   // --- runtime scale-out: six joiners, substrate wiring only -----------
   std::vector<std::string> joiners;
-  const std::vector<std::pair<std::string, std::uint16_t>> joinerWiring = {
-      {"substrate", coordPort}, {"coordinator", coordPort}};
+  const Wiring joinerWiring = {{"substrate", coordPort},
+                               {"coordinator", coordPort}};
+  const std::vector<std::uint16_t> joinerPorts = freePorts(6);
   for (int i = 2; i < 8; ++i) {
     const std::string name = "hist-" + std::to_string(i);
-    const std::uint16_t port = freePort();
+    const std::uint16_t port = joinerPorts[i - 2];
     // The joiner announces its own endpoint; the broker and coordinator
     // resolve routes to it from the announcement, not from static wiring.
     spawnRole("historical", name, port, joinerWiring);
     driver.addPeer(name + ".ctl", "127.0.0.1:" + std::to_string(port));
     joiners.push_back(name);
   }
-  for (const auto& name : joiners) awaitReady(driver, name);
+  for (const auto& name : joiners) ASSERT_TRUE(awaitReady(driver, name));
 
   // The throttled rebalancer spreads the 8 segments one per node, with
   // queries answering throughout.
@@ -797,42 +828,42 @@ TEST_F(MultiprocessClusterTest, ElasticScaleOutAndDrainUnderLoad) {
 // joins at runtime halfway through; deliveries continue throughout. At
 // the end every matching event reconstructs exactly once.
 TEST_F(MultiprocessClusterTest, StandingSubscriptionsSurviveKillAndJoin) {
-  const std::uint16_t coordPort = freePort();
-  const std::uint16_t rt0Port = freePort();
-  const std::uint16_t rt1Port = freePort();
-  const std::uint16_t brokerPort = freePort();
-  const std::uint16_t rt0Admin = freePort();
-  const std::uint16_t rt1Admin = freePort();
-  const std::uint16_t brokerAdmin = freePort();
-
-  const std::vector<std::pair<std::string, std::uint16_t>> wiring = {
-      {"substrate", coordPort},
-      {"coordinator", coordPort},
-      {"rt-0", rt0Port},
-      {"rt-1", rt1Port},
-      {"broker", brokerPort},
-  };
-  const std::vector<std::string> rt0Flags = {
-      "--data-source", "rt-events", "--admin-port", std::to_string(rt0Admin),
-      "--trace-sink", ""};
-  spawnRole("coordinator", "coordinator", coordPort, wiring);
-  spawnRole("realtime", "rt-0", rt0Port, wiring, rt0Flags);
-  spawnRole("realtime", "rt-1", rt1Port, wiring,
-            {"--data-source", "rt-events", "--admin-port",
-             std::to_string(rt1Admin), "--trace-sink", ""});
-  spawnRole("broker", "broker", brokerPort, wiring,
-            {"--broker-cache", "0", "--admin-port",
-             std::to_string(brokerAdmin), "--trace-sink", ""});
-
+  std::uint16_t coordPort = 0;
+  std::uint16_t rt0Port = 0;
+  std::uint16_t rt0Admin = 0;
+  std::uint16_t rt1Admin = 0;
+  std::uint16_t brokerAdmin = 0;
+  Wiring wiring;
+  std::vector<std::string> rt0Flags;
   NetTransport driver(clock_);
   driver.start();
-  for (const auto& [name, port] : wiring) {
-    driver.addPeer(name, "127.0.0.1:" + std::to_string(port));
-    driver.addPeer(name + ".ctl", "127.0.0.1:" + std::to_string(port));
-  }
-  for (const auto& name : {"coordinator", "rt-0", "rt-1", "broker"}) {
-    awaitReady(driver, name);
-  }
+  ASSERT_TRUE(bootCluster(
+      driver, 7, {"coordinator", "rt-0", "rt-1", "broker"},
+      [&](const std::vector<std::uint16_t>& ports) {
+        coordPort = ports[0];
+        rt0Port = ports[1];
+        rt0Admin = ports[4];
+        rt1Admin = ports[5];
+        brokerAdmin = ports[6];
+        wiring = {
+            {"substrate", coordPort},
+            {"coordinator", coordPort},
+            {"rt-0", rt0Port},
+            {"rt-1", ports[2]},
+            {"broker", ports[3]},
+        };
+        rt0Flags = {"--data-source", "rt-events", "--admin-port",
+                    std::to_string(rt0Admin), "--trace-sink", ""};
+        spawnRole("coordinator", "coordinator", coordPort, wiring);
+        spawnRole("realtime", "rt-0", rt0Port, wiring, rt0Flags);
+        spawnRole("realtime", "rt-1", ports[2], wiring,
+                  {"--data-source", "rt-events", "--admin-port",
+                   std::to_string(rt1Admin), "--trace-sink", ""});
+        spawnRole("broker", "broker", ports[3], wiring,
+                  {"--broker-cache", "0", "--admin-port",
+                   std::to_string(brokerAdmin), "--trace-sink", ""});
+        return wiring;
+      }));
 
   cluster::RpcPolicy rpc;
   rpc.maxAttempts = 3;
@@ -932,12 +963,12 @@ TEST_F(MultiprocessClusterTest, StandingSubscriptionsSurviveKillAndJoin) {
   ASSERT_TRUE(allDelivered()) << "survivor deliveries stalled during outage";
 
   // --- runtime historical join (subscriptions keep flowing) -------------
-  const std::uint16_t histPort = freePort();
+  const std::uint16_t histPort = freePorts(1)[0];
   spawnRole("historical", "hist-x", histPort,
             {{"substrate", coordPort}, {"coordinator", coordPort}},
             {"--trace-sink", ""});
   driver.addPeer("hist-x.ctl", "127.0.0.1:" + std::to_string(histPort));
-  awaitReady(driver, "hist-x");
+  ASSERT_TRUE(awaitReady(driver, "hist-x"));
   RemoteMetaStore metaStore(driver, kSubstrateNode, rpc);
   RemoteDeepStorage deepStorage(driver, kSubstrateNode, rpc);
   storage::AdTechConfig config;
@@ -961,7 +992,7 @@ TEST_F(MultiprocessClusterTest, StandingSubscriptionsSurviveKillAndJoin) {
   // back empty (its queue and subscription state died with it); the
   // broker's reconcile loop re-attaches all 8 standing queries.
   spawnRole("realtime", "rt-0", rt0Port, wiring, rt0Flags);
-  awaitReady(driver, "rt-0");
+  ASSERT_TRUE(awaitReady(driver, "rt-0"));
   ASSERT_TRUE(eventually([&] { return hostedSubscriptions(rt0Admin) == 8; }))
       << "reconcile never re-attached the standing queries after restart";
 
@@ -1015,42 +1046,37 @@ TEST_F(MultiprocessClusterTest, StandingSubscriptionsSurviveKillAndJoin) {
 // the leader change), assign segments published after the failover, and
 // keep every query answering.
 TEST_F(MultiprocessClusterTest, CoordinatorFailoverOnLeaderKill) {
-  const std::uint16_t subPort = freePort();
-  const std::uint16_t coordAPort = freePort();
-  const std::uint16_t coordBPort = freePort();
-  const std::uint16_t histAPort = freePort();
-  const std::uint16_t histBPort = freePort();
-  const std::uint16_t brokerPort = freePort();
-  const std::uint16_t adminA = freePort();
-  const std::uint16_t adminB = freePort();
-
-  const std::vector<std::pair<std::string, std::uint16_t>> wiring = {
-      {"substrate", subPort}, {"coord-a", coordAPort},
-      {"coord-b", coordBPort}, {"hist-a", histAPort},
-      {"hist-b", histBPort},  {"broker", brokerPort},
-  };
-  spawnRole("substrate", "substrate", subPort, wiring);
-  spawnRole("coordinator", "coord-a", coordAPort, wiring,
-            {"--admin-port", std::to_string(adminA)});
-  spawnRole("coordinator", "coord-b", coordBPort, wiring,
-            {"--admin-port", std::to_string(adminB)});
-  // No process is named "coordinator" here, so span shipping has no sink;
-  // switch it off rather than letting every tick burn a failed call.
-  spawnRole("historical", "hist-a", histAPort, wiring, {"--trace-sink", ""});
-  spawnRole("historical", "hist-b", histBPort, wiring, {"--trace-sink", ""});
-  spawnRole("broker", "broker", brokerPort, wiring,
-            {"--broker-cache", "0", "--trace-sink", ""});
-
+  std::uint16_t adminA = 0;
+  std::uint16_t adminB = 0;
   NetTransport driver(clock_);
   driver.start();
-  for (const auto& [name, port] : wiring) {
-    driver.addPeer(name, "127.0.0.1:" + std::to_string(port));
-    driver.addPeer(name + ".ctl", "127.0.0.1:" + std::to_string(port));
-  }
-  for (const auto& name :
-       {"substrate", "coord-a", "coord-b", "hist-a", "hist-b", "broker"}) {
-    awaitReady(driver, name);
-  }
+  ASSERT_TRUE(bootCluster(
+      driver, 8,
+      {"substrate", "coord-a", "coord-b", "hist-a", "hist-b", "broker"},
+      [&](const std::vector<std::uint16_t>& ports) {
+        adminA = ports[6];
+        adminB = ports[7];
+        const Wiring wiring = {
+            {"substrate", ports[0]}, {"coord-a", ports[1]},
+            {"coord-b", ports[2]},   {"hist-a", ports[3]},
+            {"hist-b", ports[4]},    {"broker", ports[5]},
+        };
+        spawnRole("substrate", "substrate", ports[0], wiring);
+        spawnRole("coordinator", "coord-a", ports[1], wiring,
+                  {"--admin-port", std::to_string(adminA)});
+        spawnRole("coordinator", "coord-b", ports[2], wiring,
+                  {"--admin-port", std::to_string(adminB)});
+        // No process is named "coordinator" here, so span shipping has no
+        // sink; switch it off rather than letting every tick burn a
+        // failed call.
+        spawnRole("historical", "hist-a", ports[3], wiring,
+                  {"--trace-sink", ""});
+        spawnRole("historical", "hist-b", ports[4], wiring,
+                  {"--trace-sink", ""});
+        spawnRole("broker", "broker", ports[5], wiring,
+                  {"--broker-cache", "0", "--trace-sink", ""});
+        return wiring;
+      }));
 
   cluster::RpcPolicy rpc;
   rpc.maxAttempts = 3;
