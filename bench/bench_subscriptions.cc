@@ -8,6 +8,12 @@
 // SubscriptionFeed so the sweep also proves end-to-end recovery at every
 // fan-out level.
 //
+// At the largest sweep point a second thread calls fetch() back to back
+// while the barrier runs, as client polls would. The longest of those
+// fetches, as a share of the barrier's own time, is how much of a seal
+// a poll has to wait out: near 1 when the host re-arms every matcher
+// under its lock, small when only the publishing step holds it.
+//
 // Prints a JSON document; BENCH_subs.json at the repo root is seeded
 // from the full run. scripts/check_bench.py subs re-runs `--quick` and
 // gates the *structural invariants* (snapshot counts are a deterministic
@@ -16,11 +22,14 @@
 // absolute times.
 //
 // Usage: bench_subscriptions [--quick]
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cluster/subscription_host.h"
@@ -56,11 +65,14 @@ struct PointResult {
   std::size_t recovered = 0;
   std::size_t expectedMatches = 0;
   std::uint64_t duplicatesDropped = 0;
+  // Polling during the barrier (only when probed).
+  std::size_t barrierFetches = 0;
+  double fetchMaxSeconds = 0.0;
 };
 
 PointResult runPoint(PrivateSearchClient& client, const Dictionary& dict,
                      std::size_t subs, std::size_t docs,
-                     std::size_t maxDocuments) {
+                     std::size_t maxDocuments, bool probePolls) {
   SubscriptionSpec spec;
   spec.docSource = "bench-stream";
   spec.dictionaryWords = dict.words();
@@ -96,9 +108,31 @@ PointResult runPoint(PrivateSearchClient& client, const Dictionary& dict,
   r.fillSnapshots = static_cast<std::size_t>(host.snapshotsSealed());
 
   // Commit barrier: seal every partial batch (padded to l_F segments).
+  // The poller has finished one fetch before the barrier starts, so its
+  // next ones overlap it.
+  std::atomic<bool> draining{true};
+  std::atomic<std::size_t> fetches{0};
+  std::thread poller;
+  if (probePolls) {
+    poller = std::thread([&] {
+      while (draining.load()) {
+        const auto t0 = SteadyClock::now();
+        host.fetch(1, /*ackSeq=*/0);
+        r.fetchMaxSeconds = std::max(r.fetchMaxSeconds, secondsSince(t0));
+        fetches.fetch_add(1);
+      }
+    });
+    while (fetches.load() == 0) std::this_thread::yield();
+  }
+  const std::size_t fetchesBefore = fetches.load();
   const auto drainStart = SteadyClock::now();
   host.sealAll();
   r.drainSeconds = secondsSince(drainStart);
+  if (probePolls) {
+    draining.store(false);
+    poller.join();
+    r.barrierFetches = fetches.load() - fetchesBefore;
+  }
   r.drainSnapshots =
       static_cast<std::size_t>(host.snapshotsSealed()) - r.fillSnapshots;
 
@@ -138,8 +172,11 @@ int main(int argc, char** argv) {
   std::printf("  \"points\": [");
 
   bool first = true;
+  PointResult largest;
   for (const std::size_t subs : sweep) {
-    const PointResult r = runPoint(client, dict, subs, docs, maxDocuments);
+    const PointResult r = runPoint(client, dict, subs, docs, maxDocuments,
+                                   /*probePolls=*/subs == sweep.back());
+    if (subs == sweep.back()) largest = r;
     std::printf("%s\n    {\"subscriptions\": %zu, \"documents\": %zu, "
                 "\"folds\": %zu, \"fold_seconds\": %.4f, "
                 "\"folds_per_s\": %.0f, "
@@ -158,6 +195,14 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(r.duplicatesDropped));
     first = false;
   }
-  std::printf("\n  ]\n}\n");
+  std::printf("\n  ],\n");
+  std::printf("  \"barrier_poll\": {\"subscriptions\": %zu, "
+              "\"seal_all_ms\": %.3f, \"fetches\": %zu, "
+              "\"fetch_max_ms\": %.3f, \"fetch_max_share\": %.4f}\n}\n",
+              largest.subscriptions, 1e3 * largest.drainSeconds,
+              largest.barrierFetches, 1e3 * largest.fetchMaxSeconds,
+              largest.drainSeconds > 0
+                  ? largest.fetchMaxSeconds / largest.drainSeconds
+                  : 0.0);
   return 0;
 }

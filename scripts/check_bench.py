@@ -36,8 +36,10 @@ Benches:
              scale-out (no thrashing) and drains without losing a copy.
   subs       bench_subscriptions vs BENCH_subs.json: every document folds
              into every subscription, seals follow the fill threshold,
-             the feed recovers every match, and fold throughput stays
-             flat as subscriptions fan out.
+             the feed recovers every match, fold throughput stays flat
+             as subscriptions fan out, and a fetch running beside the
+             commit barrier waits at most a quarter of it (re-arming
+             happens outside the host lock).
   e2e        perfbench/run.py pss_oneshot, seed 42, --trace 1, on the real
              multi-process cluster vs BENCH_e2e.json: every query correct,
              no failed operation, the historicals' encryptions per query
@@ -145,6 +147,12 @@ def ana_invariants(g: Gate, doc: dict, label: str, args) -> None:
             f"ana.rpcs_per_query {rpcs:.4f} (at most 2 serving nodes)")
 
 
+# Longest fetch during sealAll over that sealAll's time. About 1.0 when
+# the host re-arms every matcher under its lock; a few percent when only
+# the publishing step holds it.
+POLL_SHARE_CEILING = 0.25
+
+
 def subs_invariants(g: Gate, doc: dict, label: str, args) -> None:
     docs = doc.get("documents_per_point", 0)
     max_docs = doc.get("max_documents_per_snapshot", 0)
@@ -191,6 +199,21 @@ def subs_invariants(g: Gate, doc: dict, label: str, args) -> None:
     else:
         g.check(False, f"{label}: fold throughput measured",
                 "folds_per_s missing or 0")
+
+    # Same-run ratio: a poll during the commit barrier may wait out a
+    # seal's publishing step, never the re-arming of every matcher.
+    poll = doc.get("barrier_poll", {})
+    g.check(poll.get("subscriptions") == points[-1].get("subscriptions")
+            and poll.get("fetches", 0) >= 1,
+            f"{label}: polls overlapped the barrier at the largest point",
+            f"{poll.get('fetches')} fetches at "
+            f"{poll.get('subscriptions')} subs")
+    share = poll.get("fetch_max_share")
+    g.check(share is not None and share <= POLL_SHARE_CEILING,
+            f"{label}: a poll waits out little of the commit barrier",
+            f"longest fetch {poll.get('fetch_max_ms')} ms of a "
+            f"{poll.get('seal_all_ms')} ms sealAll (share {share}, "
+            f"ceiling {POLL_SHARE_CEILING})")
 
 
 # --- scale-independent figures shared with the baseline --------------------

@@ -131,7 +131,10 @@ void RealtimeNode::start() {
   announcePending();
   // Rebuild standing matchers from the specs that survived on disk; their
   // seq counters and unacked snapshots resume where the crash left them.
-  subsHost_.restore();
+  {
+    obs::ScopedRegistry obsScope(obs_);
+    subsHost_.restore();
+  }
   DPSS_LOG(Info) << "realtime node " << name_ << " online from offset "
                  << startOffset;
 }
@@ -158,6 +161,7 @@ void RealtimeNode::stop() {
   if (flushed) {
     // Seal-before-commit: every subscription batch reaches disk before
     // the offset does, so nothing at or below the commit is only in RAM.
+    obs::ScopedRegistry obsScope(obs_);
     subsHost_.sealAll();
     queue_.commit(name_, topic_, partition_, offsetToCommit);
   }
@@ -266,7 +270,11 @@ void RealtimeNode::tick() {
     ingest();
     announcePending();
   });
-  subsHost_.sealDue();
+  {
+    // The period seals and their re-arms count in this node's registry.
+    obs::ScopedRegistry obsScope(obs_);
+    subsHost_.sealDue();
+  }
   persistIfDue();
   substrateStep([this] { handoffIfDue(); });
 }

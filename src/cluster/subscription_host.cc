@@ -6,8 +6,16 @@
 #include "cluster/subscription_rpc.h"
 #include "common/error.h"
 #include "common/hash.h"
+#include "obs/metrics.h"
 
 namespace dpss::cluster {
+
+namespace {
+
+const obs::MetricId kSnapshotsDropped =
+    obs::internCounter("subscription.snapshots_dropped");
+
+}  // namespace
 
 SubscriptionHost::SubscriptionHost(std::string node, std::string dataSource,
                                    SubscriptionDiskState& disk, Clock& clock,
@@ -24,26 +32,47 @@ std::uint64_t SubscriptionHost::seedFor(pss::SubscriptionId id) const {
   return fnv1a(node_) ^ (id * 0x9e3779b97f4a7c15ULL) ^ 0x5u;
 }
 
+SubscriptionHost::MatcherPtr SubscriptionHost::makeMatcher(
+    pss::SubscriptionId id, pss::SubscriptionSpec spec) const {
+  if (spec.docSource != dataSource_) return nullptr;
+  return std::make_shared<pss::SubscriptionMatcher>(std::move(spec),
+                                                    seedFor(id),
+                                                    clock_.nowMs());
+}
+
 void SubscriptionHost::restore() {
-  MutexLock lock(mu_);
-  for (auto& [id, durable] : disk_) {
-    if (entries_.find(id) != entries_.end()) continue;
-    ByteReader r(durable.specBytes);
-    pss::SubscriptionSpec spec = pss::SubscriptionSpec::deserialize(r);
+  std::vector<std::pair<pss::SubscriptionId, std::string>> specs;
+  {
+    MutexLock lock(mu_);
+    for (const auto& [id, durable] : disk_) {
+      if (entries_.find(id) == entries_.end()) {
+        specs.emplace_back(id, durable.specBytes);
+      }
+    }
+  }
+  for (const auto& [id, specBytes] : specs) {
+    ByteReader r(specBytes);
+    MatcherPtr matcher =
+        makeMatcher(id, pss::SubscriptionSpec::deserialize(r));
+    MutexLock lock(mu_);
+    // A detach in between removed the spec; do not resurrect it.
+    if (disk_.find(id) == disk_.end()) continue;
     Entry entry;
     entry.attachedMs = clock_.nowMs();
-    if (spec.docSource == dataSource_) {
-      entry.matcher = std::make_unique<pss::SubscriptionMatcher>(
-          std::move(spec), seedFor(id), clock_.nowMs());
-    }
+    entry.matcher = std::move(matcher);
     entries_.emplace(id, std::move(entry));
   }
 }
 
 void SubscriptionHost::attach(pss::SubscriptionId id,
                               const pss::SubscriptionSpec& spec) {
+  {
+    MutexLock lock(mu_);
+    if (entries_.find(id) != entries_.end()) return;  // idempotent
+  }
+  MatcherPtr matcher = makeMatcher(id, spec);
   MutexLock lock(mu_);
-  if (entries_.find(id) != entries_.end()) return;  // idempotent
+  if (entries_.find(id) != entries_.end()) return;  // a racing attach won
   SubscriptionDurable& durable = disk_[id];
   if (durable.specBytes.empty()) {
     ByteWriter w;
@@ -52,10 +81,7 @@ void SubscriptionHost::attach(pss::SubscriptionId id,
   }
   Entry entry;
   entry.attachedMs = clock_.nowMs();
-  if (spec.docSource == dataSource_) {
-    entry.matcher = std::make_unique<pss::SubscriptionMatcher>(
-        spec, seedFor(id), clock_.nowMs());
-  }
+  entry.matcher = std::move(matcher);
   entries_.emplace(id, std::move(entry));
 }
 
@@ -79,37 +105,50 @@ std::vector<pss::SubscriptionId> SubscriptionHost::ids() const {
 void SubscriptionHost::onDocument(std::uint64_t offset,
                                   std::string_view matchText,
                                   std::string_view payload) {
-  MutexLock lock(mu_);
-  const std::int64_t now = clock_.nowMs();
-  for (auto& [id, entry] : entries_) {
-    if (entry.matcher == nullptr) continue;
-    entry.matcher->feed(offset, matchText, payload, now);
-    ++documentsMatched_;
-    // Fill-threshold seals fire inline so a full buffer never waits for
-    // the next tick (the period trigger is tick-driven via sealDue()).
-    if (entry.matcher->due(now)) sealLocked(id, entry, /*force=*/false);
+  MutexLock drive(driveMu_);
+  std::vector<MatcherPtr> sealed;
+  {
+    MutexLock lock(mu_);
+    const std::int64_t now = clock_.nowMs();
+    for (auto& [id, entry] : entries_) {
+      if (entry.matcher == nullptr) continue;
+      entry.matcher->feed(offset, matchText, payload, now);
+      ++documentsMatched_;
+      // Fill-threshold seals fire inline so a full buffer never waits for
+      // the next tick (the period trigger is tick-driven via sealDue()).
+      if (entry.matcher->due(now) && sealLocked(id, entry, /*force=*/false)) {
+        sealed.push_back(entry.matcher);
+      }
+    }
   }
+  for (const auto& matcher : sealed) matcher->rearm();  // as in sealEach()
 }
 
-void SubscriptionHost::sealDue() {
-  MutexLock lock(mu_);
-  for (auto& [id, entry] : entries_) {
-    if (entry.matcher != nullptr) sealLocked(id, entry, /*force=*/false);
+void SubscriptionHost::sealDue() { sealEach(/*force=*/false); }
+
+void SubscriptionHost::sealAll() { sealEach(/*force=*/true); }
+
+void SubscriptionHost::sealEach(bool force) {
+  MutexLock drive(driveMu_);
+  std::vector<MatcherPtr> sealed;
+  {
+    MutexLock lock(mu_);
+    for (auto& [id, entry] : entries_) {
+      if (entry.matcher != nullptr && sealLocked(id, entry, force)) {
+        sealed.push_back(entry.matcher);
+      }
+    }
   }
+  // Re-arm after releasing mu_: fetches and status reads proceed while
+  // the fresh E(0)s are drawn.
+  for (const auto& matcher : sealed) matcher->rearm();
 }
 
-void SubscriptionHost::sealAll() {
-  MutexLock lock(mu_);
-  for (auto& [id, entry] : entries_) {
-    if (entry.matcher != nullptr) sealLocked(id, entry, /*force=*/true);
-  }
-}
-
-void SubscriptionHost::sealLocked(pss::SubscriptionId id, Entry& entry,
+bool SubscriptionHost::sealLocked(pss::SubscriptionId id, Entry& entry,
                                   bool force) {
   const std::int64_t now = clock_.nowMs();
   auto snap = force ? entry.matcher->seal(now) : entry.matcher->sealIfDue(now);
-  if (!snap.has_value()) return;
+  if (!snap.has_value()) return false;
   SubscriptionDurable& durable = disk_[id];
   snap->id = id;
   snap->node = node_;
@@ -119,9 +158,10 @@ void SubscriptionHost::sealLocked(pss::SubscriptionId id, Entry& entry,
   durable.pending.push_back({snap->seq, w.take()});
   if (durable.pending.size() > options_.maxPendingPerSubscription) {
     durable.pending.erase(durable.pending.begin());
-    ++snapshotsDropped_;
+    obs::currentRegistry().counter(kSnapshotsDropped).inc();
   }
   ++snapshotsSealed_;
+  return true;
 }
 
 std::vector<pss::SubscriptionSnapshot> SubscriptionHost::fetch(
@@ -222,11 +262,6 @@ std::uint64_t SubscriptionHost::documentsMatched() const {
 std::uint64_t SubscriptionHost::snapshotsSealed() const {
   MutexLock lock(mu_);
   return snapshotsSealed_;
-}
-
-std::uint64_t SubscriptionHost::snapshotsDropped() const {
-  MutexLock lock(mu_);
-  return snapshotsDropped_;
 }
 
 }  // namespace dpss::cluster

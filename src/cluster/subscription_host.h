@@ -9,6 +9,12 @@
 // committed offset — exactly the range the queue replays — and the
 // client's feed dedups the overlap. Snapshots are retired only when the
 // collector acks their seq, so delivery is at-least-once end to end.
+//
+// A seal has two steps. Publishing (finish, pad, stamp the seq, append to
+// `pending`) runs under the host lock; re-arming the matcher (a fresh
+// E(0) per buffer slot, by far the larger cost) runs after the lock is
+// released, on the calling thread. So a fetch, a status read or an
+// attach never waits out an arming, while ingest still does.
 #pragma once
 
 #include <cstdint>
@@ -42,7 +48,8 @@ using SubscriptionDiskState = std::map<std::uint64_t, SubscriptionDurable>;
 
 struct SubscriptionHostOptions {
   /// Unacked snapshots retained per subscription; beyond this the oldest
-  /// is dropped (and counted) so an absent collector cannot OOM the node.
+  /// is dropped (counted in subscription.snapshots_dropped of the current
+  /// metrics registry) so an absent collector cannot OOM the node.
   std::size_t maxPendingPerSubscription = 1024;
 };
 
@@ -77,16 +84,18 @@ class SubscriptionHost {
   std::vector<pss::SubscriptionId> ids() const;
 
   /// Feeds one ingested document to every active matcher. Called from the
-  /// node's ingest loop with the document's queue offset.
+  /// node's ingest loop with the document's queue offset. A matcher whose
+  /// fill threshold fires is sealed inline and re-armed before returning.
   void onDocument(std::uint64_t offset, std::string_view matchText,
-                  std::string_view payload);
+                  std::string_view payload) DPSS_EXCLUDES(mu_);
 
   /// Seals batches whose period or fill-threshold fired (node tick).
-  void sealDue();
+  void sealDue() DPSS_EXCLUDES(mu_);
 
   /// Seals every non-empty batch — the seal-before-commit barrier the
-  /// node runs right before committing its queue offset.
-  void sealAll();
+  /// node runs right before committing its queue offset. Every snapshot
+  /// is in `pending` before this returns.
+  void sealAll() DPSS_EXCLUDES(mu_);
 
   /// Acks everything at or below `ackSeq` (GC) and returns the rest.
   std::vector<pss::SubscriptionSnapshot> fetch(pss::SubscriptionId id,
@@ -99,18 +108,30 @@ class SubscriptionHost {
   std::vector<SubscriptionHostStatus> status() const;
   std::uint64_t documentsMatched() const;
   std::uint64_t snapshotsSealed() const;
-  std::uint64_t snapshotsDropped() const;
 
  private:
+  // Shared so a matcher sealed under mu_ stays alive while it is re-armed
+  // outside it, even if a concurrent detach erases its entry.
+  using MatcherPtr = std::shared_ptr<pss::SubscriptionMatcher>;
+
   struct Entry {
     // null when the spec's docSource is not this node's (inactive).
-    std::unique_ptr<pss::SubscriptionMatcher> matcher;
+    MatcherPtr matcher;
     std::int64_t attachedMs = 0;
     std::uint64_t ackedSeq = 0;
   };
 
-  void sealLocked(pss::SubscriptionId id, Entry& entry, bool force)
+  /// Builds the matcher (its first arming) for a spec this node matches,
+  /// or null for another docSource. Runs outside mu_.
+  MatcherPtr makeMatcher(pss::SubscriptionId id,
+                         pss::SubscriptionSpec spec) const;
+  /// Publishes one seal (force: even if not due). True when a snapshot
+  /// was appended, i.e. the matcher now needs a rearm().
+  bool sealLocked(pss::SubscriptionId id, Entry& entry, bool force)
       DPSS_REQUIRES(mu_);
+  /// Seals every due (or, with force, non-empty) batch under mu_, then
+  /// re-arms the sealed matchers after releasing it.
+  void sealEach(bool force) DPSS_EXCLUDES(mu_);
   std::uint64_t seedFor(pss::SubscriptionId id) const;
 
   std::string node_;
@@ -119,11 +140,15 @@ class SubscriptionHost {
   SubscriptionHostOptions options_;
 
   mutable Mutex mu_;
+  // Serializes the callers that feed, seal and re-arm matchers
+  // (onDocument / sealDue / sealAll), so a re-arm outside mu_ never races
+  // a feed or a seal of the same matcher. Taken before mu_; fetch, status,
+  // attach and detach never take it.
+  Mutex driveMu_ DPSS_ACQUIRED_BEFORE(mu_);
   SubscriptionDiskState& disk_ DPSS_GUARDED_BY(mu_);
   std::map<pss::SubscriptionId, Entry> entries_ DPSS_GUARDED_BY(mu_);
   std::uint64_t documentsMatched_ DPSS_GUARDED_BY(mu_) = 0;
   std::uint64_t snapshotsSealed_ DPSS_GUARDED_BY(mu_) = 0;
-  std::uint64_t snapshotsDropped_ DPSS_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace dpss::cluster

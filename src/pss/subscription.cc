@@ -71,6 +71,7 @@ SubscriptionMatcher::SubscriptionMatcher(SubscriptionSpec spec,
 
 bool SubscriptionMatcher::feed(std::uint64_t offset, std::string_view matchText,
                                std::string_view payload, std::int64_t nowMs) {
+  rearm();
   if (batchDocuments_ == 0) batchStartMs_ = nowMs;
   ++batchDocuments_;
   ++documentsSeen_;
@@ -112,7 +113,7 @@ std::optional<SubscriptionSnapshot> SubscriptionMatcher::seal(
   SubscriptionSnapshot snap;  // id / node / seq are stamped by the owner
   snap.paddedSegments = pad;
   snap.envelope = searcher_.finish();
-  searcher_.rearm();
+  armed_ = false;
   batchDocuments_ = 0;
   batchStartMs_ = nowMs;
   ++snapshotsSealed_;
@@ -125,6 +126,12 @@ std::optional<SubscriptionSnapshot> SubscriptionMatcher::sealIfDue(
     std::int64_t nowMs) {
   if (!due(nowMs)) return std::nullopt;
   return seal(nowMs);
+}
+
+void SubscriptionMatcher::rearm() {
+  if (armed_) return;
+  searcher_.rearm();
+  armed_ = true;
 }
 
 std::uint64_t SubscriptionMatcher::fillPercent() const {

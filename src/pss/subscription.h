@@ -6,12 +6,12 @@
 // against every document a realtime node ingests from that point on. The
 // server side (SubscriptionMatcher) folds each document into the three
 // encrypted buffers exactly like the one-shot searcher; on a period or a
-// fill-threshold it seals the buffers into an envelope ("snapshot") and
-// re-arms with fresh randomness. The client side (SubscriptionFeed)
-// decrypts each snapshot independently and accumulates recovered
-// documents, deduplicating replays by stream position — the incremental
-// reconstruction contract that makes crash/replay delivery exactly-once
-// from the client's point of view.
+// fill-threshold it seals the buffers into an envelope ("snapshot"), and
+// a separate re-arm draws fresh randomness for the next batch. The
+// client side (SubscriptionFeed) decrypts each snapshot independently
+// and accumulates recovered documents, deduplicating replays by stream
+// position — the incremental reconstruction contract that makes
+// crash/replay delivery exactly-once from the client's point of view.
 //
 // Because the reconstructor requires t >= l_F segments per envelope, a
 // partial batch is padded with empty segments before sealing
@@ -117,11 +117,21 @@ class SubscriptionMatcher {
   bool due(std::int64_t nowMs) const;
 
   /// Seals the in-progress batch (padded up to l_F segments) into an
-  /// envelope and re-arms. nullopt when the batch is empty.
+  /// envelope and leaves the matcher unarmed. nullopt when the batch is
+  /// empty. Sealing is cheap; arming the next batch is not, so it is a
+  /// separate step the owner may run outside its own lock.
   std::optional<SubscriptionSnapshot> seal(std::int64_t nowMs);
 
   /// seal() only when due().
   std::optional<SubscriptionSnapshot> sealIfDue(std::int64_t nowMs);
+
+  /// Arms the next batch after a seal: fresh buffers, then the PRF seed,
+  /// then the Bloom seed, drawn from the matcher's rng in that order (so
+  /// envelope bytes do not depend on when the arming runs). A no-op on an
+  /// armed matcher; feed() calls it first, so a seal need not be followed
+  /// by an explicit rearm(). Touches only the searcher and its rng, never
+  /// the counters the accessors below read.
+  void rearm();
 
   const SubscriptionSpec& spec() const { return spec_; }
   const Dictionary& dictionary() const { return dict_; }
@@ -140,6 +150,7 @@ class SubscriptionMatcher {
   Dictionary dict_;
   Rng rng_;
   StreamSearcher searcher_;
+  bool armed_ = true;  // the constructor arms the first batch
   std::int64_t batchStartMs_ = 0;
   std::uint64_t batchDocuments_ = 0;
   std::uint64_t documentsSeen_ = 0;

@@ -225,7 +225,7 @@ void ConciseBitmap::serialize(ByteWriter& w) const {
 ConciseBitmap ConciseBitmap::deserialize(ByteReader& r) {
   ConciseBitmap out;
   out.size_ = r.varint();
-  const std::uint64_t n = r.varint();
+  const std::uint64_t n = r.count(4);  // one u32 per word
   out.words_.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) out.words_.push_back(r.u32());
   return out;

@@ -81,12 +81,19 @@ SegmentPtr decodeSegment(const std::string& blob) {
   }
   SegmentId id = SegmentId::deserialize(r);
   Schema schema = Schema::deserialize(r);
-  const std::size_t rows = r.varint();
+  const std::uint64_t rows = r.varint();
 
   std::vector<TimeMs> timestamps;
   {
     const std::string colBytes = lzfDecompress(r.str());
     ByteReader col(colBytes);
+    // Each row's timestamp delta takes at least one byte of this column,
+    // which bounds every per-row reserve below by the decompressed input.
+    if (rows > col.remaining()) {
+      throw CorruptData("segment row count " + std::to_string(rows) +
+                        " exceeds its " + std::to_string(col.remaining()) +
+                        "-byte timestamp column");
+    }
     timestamps.reserve(rows);
     TimeMs prev = 0;
     for (std::size_t i = 0; i < rows; ++i) {
@@ -113,7 +120,8 @@ SegmentPtr decodeSegment(const std::string& blob) {
     {
       const std::string bitmapBytes = lzfDecompress(r.str());
       ByteReader br(bitmapBytes);
-      const std::uint64_t n = br.varint();
+      // A serialized bitmap is at least its two varint headers.
+      const std::uint64_t n = br.count(2);
       col.bitmaps.reserve(n);
       for (std::uint64_t i = 0; i < n; ++i) {
         col.bitmaps.push_back(ConciseBitmap::deserialize(br));

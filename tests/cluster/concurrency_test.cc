@@ -1,15 +1,22 @@
 // Concurrency stress: broker queries racing coordinator churn, node
-// crashes/restarts, and real-time ingestion. The invariants: no crashes,
+// crashes/restarts, and real-time ingestion; subscription seals racing
+// fetches and attach/detach churn. The invariants: no crashes,
 // no torn results (counts are always a multiple of a whole segment), and
 // convergence to the correct total afterwards.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <map>
+#include <set>
 #include <thread>
 
 #include "cluster/cluster.h"
+#include "cluster/subscription_host.h"
 #include "common/error.h"
+#include "pss/session.h"
+#include "pss/subscription.h"
 #include "storage/adtech.h"
 
 namespace dpss::cluster {
@@ -219,6 +226,106 @@ TEST(Concurrency, IngestionRacingQueries) {
   cluster.realtime(0).tick();
   const auto outcome = cluster.broker().query(spec);
   EXPECT_DOUBLE_EQ(outcome.rows[0].values[0], 2000.0);
+}
+
+TEST(Concurrency, SubscriptionSealsRaceFetchesStatusAndChurn) {
+  // One driver thread feeds and seals (inline fill seals, tick-style
+  // period seals, a final commit barrier) while matchers are re-armed
+  // outside the host lock. Fetchers ack as they go, a status reader
+  // polls, and a churn thread attaches and detaches other subscriptions,
+  // so some of them are detached while being re-armed. No sleeps.
+  ManualClock clock(1'400'000'000'000);
+  const pss::Dictionary dict({"breach", "routine"});
+  pss::PrivateSearchClient client(dict, pss::SearchParams{16, 256, 5}, 128,
+                                  606);
+  pss::SubscriptionSpec spec;
+  spec.docSource = "events";
+  spec.dictionaryWords = dict.words();
+  spec.query = client.makeQuery({"breach"});
+  spec.blocksPerSegment = 2;
+  spec.policy.periodMs = 10;
+  spec.policy.maxDocuments = 6;
+
+  SubscriptionDiskState disk;
+  SubscriptionHost host("rt-0", "events", disk, clock);
+  const std::vector<pss::SubscriptionId> stable{1, 2};
+  for (const auto id : stable) host.attach(id, spec);
+
+  constexpr std::uint64_t kDocs = 120;
+  std::set<std::uint64_t> matching;
+  std::atomic<bool> done{false};
+  std::thread driver([&] {
+    for (std::uint64_t i = 0; i < kDocs; ++i) {
+      const std::string text =
+          (i % 5 == 0 ? "breach " : "routine ") + std::to_string(i);
+      host.onDocument(i, text, text);
+      if (i % 7 == 6) {
+        clock.advance(spec.policy.periodMs);
+        host.sealDue();
+      }
+    }
+    host.sealAll();
+    done.store(true);
+  });
+  for (std::uint64_t i = 0; i < kDocs; i += 5) matching.insert(i);
+
+  std::vector<std::map<std::uint64_t, int>> seen(stable.size());
+  std::vector<std::vector<pss::SubscriptionSnapshot>> got(stable.size());
+  std::vector<std::thread> readers;
+  for (std::size_t k = 0; k < stable.size(); ++k) {
+    readers.emplace_back([&, k] {
+      std::uint64_t ack = 0;
+      const auto drain = [&] {
+        for (auto& snap : host.fetch(stable[k], ack)) {
+          ++seen[k][snap.seq];
+          ack = std::max(ack, snap.seq);
+          got[k].push_back(std::move(snap));
+        }
+      };
+      while (!done.load()) drain();
+      drain();  // whatever the final barrier sealed
+    });
+  }
+  std::atomic<std::uint64_t> statusReads{0};
+  readers.emplace_back([&] {
+    while (!done.load()) {
+      for (const auto& row : host.status()) EXPECT_LE(row.fillPercent, 100u);
+      statusReads.fetch_add(1);
+    }
+  });
+  readers.emplace_back([&] {
+    // Two churn subscriptions live at a time, each fed and sealed for a
+    // while before it is detached.
+    for (std::uint64_t k = 0; !done.load(); ++k) {
+      host.attach(100 + k % 3, spec);
+      host.fetch(100 + k % 3, 0);
+      host.detach(100 + (k + 1) % 3);
+    }
+  });
+  driver.join();
+  for (auto& t : readers) t.join();
+  EXPECT_GT(statusReads.load(), 0u);
+
+  for (std::size_t k = 0; k < stable.size(); ++k) {
+    // Every seq the host stamped was fetched, and exactly once.
+    const std::uint64_t sealed = disk.at(stable[k]).nextSeq - 1;
+    ASSERT_GT(sealed, kDocs / spec.policy.maxDocuments);
+    EXPECT_EQ(seen[k].size(), sealed) << "subscription " << stable[k];
+    for (const auto& [seq, times] : seen[k]) {
+      EXPECT_GE(seq, 1u);
+      EXPECT_LE(seq, sealed);
+      EXPECT_EQ(times, 1) << "seq " << seq;
+    }
+    // And the snapshots, armed while others read the host, open to
+    // exactly the matching documents.
+    pss::SubscriptionFeed feed(client.privateKey());
+    for (const auto& snap : got[k]) feed.apply("rt-0/events", snap.envelope);
+    std::set<std::uint64_t> recovered;
+    for (const auto& [key, doc] : feed.documents()) {
+      recovered.insert(doc.streamIndex);
+    }
+    EXPECT_EQ(recovered, matching) << "subscription " << stable[k];
+  }
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include "cluster/cluster.h"
 #include "cluster/subscription_client.h"
 #include "common/error.h"
+#include "obs/metrics.h"
 #include "pss/session.h"
 #include "storage/schema.h"
 #include "pss/plaintext_access.h"
@@ -223,6 +224,65 @@ TEST_F(SubscriptionClusterTest, ReconcileAttachesLateJoinersAndRetiresStale) {
   EXPECT_TRUE(cluster.realtime(1).subscriptions().ids().empty());
   EXPECT_TRUE(cluster.metaStore().subscriptions().empty());
   EXPECT_EQ(cluster.subscriptionBroker().reconcile(), 0u);
+}
+
+TEST_F(SubscriptionClusterTest, PeriodSealCountsInTheNodeRegistry) {
+  Cluster cluster(clock_, {.historicalNodes = 1});
+  cluster.messageQueue().createTopic("ads-stream", 1);
+  cluster.addRealtimeNode("ads-stream", 0, rtSchema(), "rt-ads", options_);
+
+  pss::PrivateSearchClient search(dict_, params_, 128, 31);
+  SubscriptionClient subs(cluster.transport(), "broker", search);
+  subs.subscribe({"sina"}, "rt-ads", 8, policy());
+  const std::set<std::string> watch{"sina"};
+  for (int i = 0; i < 3; ++i) produce(cluster, 0, "sina", i, watch);
+  cluster.realtime(0).tick();  // ingest only: 3 of 8, period not yet up
+
+  // The period elapses (before the persist period): the next tick's
+  // sealDue() seals and re-arms, and both count in the node's registry.
+  clock_.advance(4'500);
+  const auto node = cluster.realtime(0).metrics().snapshot();
+  const auto global = obs::globalRegistry().snapshot();
+  cluster.realtime(0).tick();
+  const auto nodeAfter = cluster.realtime(0).metrics().snapshot();
+  const auto globalAfter = obs::globalRegistry().snapshot();
+
+  const auto delta = [](const obs::MetricsSnapshot& before,
+                        const obs::MetricsSnapshot& after,
+                        std::string_view name) {
+    return after.counterValue(name) - before.counterValue(name);
+  };
+  const std::uint64_t arming =
+      params_.bufferLength * 8 + params_.bufferLength +
+      params_.indexBufferLength;
+  EXPECT_EQ(delta(node, nodeAfter, "pss.subscription.snapshots"), 1u);
+  EXPECT_EQ(delta(node, nodeAfter, "paillier.encrypt.count"), arming);
+  EXPECT_EQ(delta(global, globalAfter, "pss.subscription.snapshots"), 0u);
+  EXPECT_EQ(delta(global, globalAfter, "pss.subscription.padded"), 0u);
+  EXPECT_EQ(delta(global, globalAfter, "paillier.encrypt.count"), 0u);
+}
+
+TEST_F(SubscriptionClusterTest, PendingCapDropsAreCounted) {
+  options_.subscriptions.maxPendingPerSubscription = 2;
+  Cluster cluster(clock_, {.historicalNodes = 1});
+  cluster.messageQueue().createTopic("ads-stream", 1);
+  cluster.addRealtimeNode("ads-stream", 0, rtSchema(), "rt-ads", options_);
+
+  pss::PrivateSearchClient search(dict_, params_, 128, 32);
+  SubscriptionClient subs(cluster.transport(), "broker", search);
+  // Fill threshold 1: each event seals its own snapshot inline.
+  subs.subscribe({"sina"}, "rt-ads", 8, policy(/*periodMs=*/3'600'000, 1));
+  const std::set<std::string> watch{"sina"};
+  for (int i = 0; i < 3; ++i) produce(cluster, 0, "sina", i, watch);
+  cluster.realtime(0).tick();  // three seals, none acked
+
+  EXPECT_EQ(cluster.realtime(0).metrics().snapshot().counterValue(
+                "subscription.snapshots_dropped"),
+            1u);
+  const auto status = cluster.realtime(0).subscriptionStatus();
+  ASSERT_EQ(status.size(), 1u);
+  EXPECT_EQ(status[0].snapshotsSealed, 3u);
+  EXPECT_EQ(status[0].pendingSnapshots, 2u);
 }
 
 TEST_F(SubscriptionClusterTest, UnattachedBrokerRejectsSubscriptionVerbs) {

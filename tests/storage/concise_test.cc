@@ -138,6 +138,16 @@ TEST(Concise, SerializationRoundTrip) {
   EXPECT_EQ(restored.toBitmap(), plain);
 }
 
+TEST(Concise, ForgedWordCountIsCorruptData) {
+  // A 2^62-word count over one real word: refused before any reserve.
+  ByteWriter w;
+  w.varint(31);
+  w.varint(std::uint64_t{1} << 62);
+  w.u32(0);
+  ByteReader r(w.data());
+  EXPECT_THROW(ConciseBitmap::deserialize(r), CorruptData);
+}
+
 TEST(Concise, NonMultipleOf31Boundary) {
   // Tail chunk handling: size deliberately straddles a chunk boundary.
   for (const std::size_t size : {30u, 31u, 32u, 61u, 63u}) {

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include "common/bytes.h"
 #include "common/error.h"
+#include "common/hash.h"
 #include "storage/adtech.h"
+#include "storage/dictionary_encoder.h"
+#include "storage/lzf.h"
 #include "storage/segment_builder.h"
 #include "storage/segment_codec.h"
 
@@ -201,6 +205,54 @@ TEST(SegmentCodec, RejectsWrongMagic) {
   std::string blob = encodeSegment(*seg);
   blob[0] = 'X';
   EXPECT_THROW(decodeSegment(blob), CorruptData);
+}
+
+/// A checksummed one-dimension, metric-free segment blob with the given
+/// row count, timestamp column and bitmap section — what a forger who
+/// knows the format can hand decodeSegment.
+std::string forgedSegmentBlob(std::uint64_t rows,
+                              const std::string& timestampColumn,
+                              const std::string& bitmapSection) {
+  Schema schema;
+  schema.dimensions = {"publisher"};
+  ByteWriter w;
+  w.raw("DPS1");
+  testId().serialize(w);
+  schema.serialize(w);
+  w.varint(rows);
+  w.str(lzfCompress(timestampColumn));
+  ByteWriter dict;
+  StringDictionary().serialize(dict);
+  w.str(lzfCompress(dict.data()));
+  w.str(lzfCompress(""));  // id column
+  w.str(lzfCompress(bitmapSection));
+  std::string blob = w.take();
+  ByteWriter tail;
+  tail.u64(fnv1a(blob));
+  return blob + tail.data();
+}
+
+TEST(SegmentCodec, ForgedRowCountIsCorruptData) {
+  ByteWriter noBitmaps;
+  noBitmaps.varint(0);
+  // The well-formed empty segment decodes; 2^61 rows over a 3-byte
+  // timestamp column are refused before any per-row reserve.
+  EXPECT_EQ(decodeSegment(forgedSegmentBlob(0, "", noBitmaps.data()))
+                ->rowCount(),
+            0u);
+  EXPECT_THROW(
+      decodeSegment(forgedSegmentBlob(std::uint64_t{1} << 61, "\x02\x02\x02",
+                                      noBitmaps.data())),
+      CorruptData);
+}
+
+TEST(SegmentCodec, ForgedBitmapCountIsCorruptData) {
+  ByteWriter bitmaps;
+  bitmaps.varint(std::uint64_t{1} << 60);
+  bitmaps.varint(0);  // one empty bitmap's two headers
+  bitmaps.varint(0);
+  EXPECT_THROW(decodeSegment(forgedSegmentBlob(0, "", bitmaps.data())),
+               CorruptData);
 }
 
 TEST(SegmentId, ToStringParseRoundTrip) {
